@@ -23,10 +23,10 @@
 
 use crate::format::scan_prefix;
 use crate::outcome::ErrorClass;
-use crate::run::{scan_snapshots, scan_streamed, ScanOptions};
+use crate::run::{scan_snapshots, scan_streamed, PageSource, ScanOptions};
 use crate::store::ResultStore;
 use hv_corpus::faults::FaultPlan;
-use hv_corpus::{Archive, Snapshot};
+use hv_corpus::Snapshot;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -89,15 +89,16 @@ impl ChaosReport {
 /// Run the chaos harness: one clean scan plus one faulted scan per thread
 /// count, then check the invariants. `threads` entries follow
 /// [`ScanOptions::threads`] (0 = one per core); at least one is required.
-pub fn run_chaos(
-    archive: &Archive,
+/// Any [`PageSource`] works: the synthetic archive or WARC files.
+pub fn run_chaos<S: PageSource>(
+    source: &S,
     plan: FaultPlan,
     snapshots: &[Snapshot],
     threads: &[usize],
 ) -> ChaosReport {
     assert!(!threads.is_empty(), "chaos needs at least one thread count");
     let base = ScanOptions::new();
-    let clean = scan_snapshots(archive, snapshots, base.threads(threads[0]));
+    let clean = scan_snapshots(source, snapshots, base.threads(threads[0]));
 
     // Every faulted scan runs behind its own unwind guard: if the engine's
     // containment ever fails, the harness reports it instead of dying.
@@ -105,7 +106,7 @@ pub fn run_chaos(
         .iter()
         .map(|&t| {
             catch_unwind(AssertUnwindSafe(|| {
-                scan_snapshots(archive, snapshots, base.threads(t).inject_faults(plan))
+                scan_snapshots(source, snapshots, base.threads(t).inject_faults(plan))
             }))
             .ok()
         })
@@ -192,7 +193,7 @@ pub fn run_chaos(
     }
 
     // Invariant 5: crash-at-any-point → resume → identical bytes.
-    checks.push(crash_resume_check(archive, plan, snapshots, threads[0]));
+    checks.push(crash_resume_check(source, plan, snapshots, threads[0]));
 
     ChaosReport {
         plan,
@@ -215,8 +216,8 @@ pub fn run_chaos(
 /// of representative points (mid-magic, mid-header, first/last segment
 /// midpoints and boundaries, mid-trailer) rather than sweeping — the
 /// every-byte sweep lives in the crash-recovery test suite.
-fn crash_resume_check(
-    archive: &Archive,
+fn crash_resume_check<S: PageSource>(
+    source: &S,
     plan: FaultPlan,
     snapshots: &[Snapshot],
     threads: usize,
@@ -238,7 +239,7 @@ fn crash_resume_check(
     let full_path = dir.join("full.hvs");
     let crash_path = dir.join("crash.hvs");
     let outcome = (|| -> Result<usize, String> {
-        scan_streamed(archive, snapshots, opts, &full_path)
+        scan_streamed(source, snapshots, opts, &full_path)
             .map_err(|e| format!("uninterrupted scan: {e}"))?;
         let full = std::fs::read(&full_path).map_err(|e| format!("reading full store: {e}"))?;
         let prefix =
@@ -263,7 +264,7 @@ fn crash_resume_check(
         for &p in &points {
             std::fs::write(&crash_path, &full[..p as usize])
                 .map_err(|e| format!("writing cut at {p}: {e}"))?;
-            scan_streamed(archive, snapshots, opts.overwrite(false).resume(true), &crash_path)
+            scan_streamed(source, snapshots, opts.overwrite(false).resume(true), &crash_path)
                 .map_err(|e| format!("resume from cut at {p}: {e}"))?;
             let resumed =
                 std::fs::read(&crash_path).map_err(|e| format!("reading resumed store: {e}"))?;
@@ -291,7 +292,7 @@ fn crash_resume_check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hv_corpus::CorpusConfig;
+    use hv_corpus::{Archive, CorpusConfig};
 
     #[test]
     fn chaos_passes_on_the_tiny_archive() {

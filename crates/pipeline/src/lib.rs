@@ -1,18 +1,21 @@
 //! # hv-pipeline — the paper's Figure-6 measurement pipeline
 //!
 //! ```text
-//!  Tranco top list ─▶ (1) collect CDX metadata ─▶ (2) crawl WARC records
-//!                          │                            │
-//!                          ▼                            ▼
-//!                   hv_corpus::Archive          UTF-8 filter (§4.1)
-//!                                                      │
-//!                   (4) ResultStore ◀─ (3) checker battery (hv_core)
+//!  PageSource ─▶ (1) list a snapshot's (domain, pages) slots
+//!  (Archive,          │
+//!   WarcSource)       ▼
+//!              (2) fetch page bodies ─▶ UTF-8 filter (§4.1)
+//!                                               │
+//!            (4) ResultStore ◀─ (3) checker battery (hv_core)
 //! ```
 //!
-//! * [`run`] — the page-granular scan engine: workers pull individual
-//!   pages from an atomic cursor, each running one reusable
-//!   [`hv_core::Battery`]; per-domain partials merge commutatively, so
-//!   the result is byte-identical at any thread count.
+//! * [`run`] — the page-granular scan engine, one for every [`PageSource`]
+//!   (a source lists a snapshot's slots and fetches page bodies): workers
+//!   pull individual pages from an atomic cursor, each running one reusable
+//!   [`hv_core::Battery`]; per-domain partials merge commutatively, so the
+//!   result is byte-identical at any thread count.
+//! * [`warcscan`] — WARC+CDXJ files on disk as a [`PageSource`], with the
+//!   same workers, failure model, metrics, streaming and resume.
 //! * [`metrics`] — scan observability: throughput, per-phase timings and
 //!   per-check fire counts, collected lock-free and embedded in the store.
 //! * [`store`] — the embedded result database (the paper used Postgres; a
@@ -23,13 +26,13 @@
 //!   Tables 1–2, Figures 8–10 and 16–21 folded in a single O(records)
 //!   sweep, with the original per-query scans kept in
 //!   [`aggregate::legacy`] as the equivalence oracle.
-//! * [`outcome`] — the failure model: every listed page ends `Ok`,
-//!   `Degraded` (analyzed after retries), or `Quarantined` with a
-//!   structured [`ErrorClass`]; never a dead worker, never a silent skip.
+//! * [`outcome`] — the failure model: every listed page ends analyzed,
+//!   degraded (analyzed after retries), or quarantined with a structured
+//!   [`ErrorClass`]; never a dead worker, never a silent skip.
 //! * [`chaos`] — the deterministic fault-injection harness (`hva chaos`):
-//!   scans under `hv_corpus::faults` injection and asserts that workers
-//!   survive, quarantine is thread-count-invariant, and fault-free pages
-//!   are untouched.
+//!   scans any source under `hv_corpus::faults` injection and asserts that
+//!   workers survive, quarantine is thread-count-invariant, fault-free
+//!   pages are untouched, and a crashed streamed scan resumes identically.
 //!
 //! ```no_run
 //! use hv_corpus::{Archive, CorpusConfig};
@@ -62,6 +65,6 @@ pub use format::{
     SegmentSummary, StoreHeader, StoreSink, StoreWriter,
 };
 pub use metrics::{FaultMetrics, PhaseNanos, ScanMetrics};
-pub use outcome::{ErrorClass, PageOutcome, QuarantineEntry, RetryPolicy};
-pub use run::{scan, scan_snapshots, scan_streamed, ScanOptions, ScanSummary};
+pub use outcome::{ErrorClass, QuarantineEntry, RetryPolicy};
+pub use run::{scan, scan_snapshots, scan_streamed, PageSource, ScanOptions, ScanSummary};
 pub use store::{DomainYearRecord, LoadedStore, ResultStore, StoreFormat};

@@ -1,10 +1,11 @@
 //! The scan's failure model: how a page that cannot be analyzed is
 //! classified, retried, and quarantined.
 //!
-//! Every page the CDX index lists ends in exactly one of three outcomes
-//! ([`PageOutcome`]): analyzed cleanly (`Ok`), analyzed after transient
-//! trouble (`Degraded`), or set aside with a structured reason
-//! (`Quarantined`) — never a dead worker and never a silent skip. The
+//! Every page the CDX index lists ends in exactly one of three outcomes:
+//! analyzed (or rejected by the §4.1 UTF-8 filter, a measurement decision,
+//! not a failure), analyzed only after transient-error retries (degraded,
+//! counted so flaky inputs are visible), or set aside with a structured
+//! reason (quarantined) — never a dead worker and never a silent skip. The
 //! quarantine reasons ([`ErrorClass`]) mirror what a real Common Crawl
 //! measurement meets: records that cannot be located, read, decompressed,
 //! or bounded, plus the backstop nobody plans for — a parser panic caught
@@ -66,19 +67,6 @@ impl std::fmt::Display for ErrorClass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
-}
-
-/// The terminal classification of one listed page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageOutcome {
-    /// Fetched and analyzed on the first attempt (or rejected by the §4.1
-    /// UTF-8 filter, which is a measurement decision, not a failure).
-    Ok,
-    /// Analyzed successfully, but only after `retries` transient-error
-    /// retries — counted so flaky inputs are visible, not silent.
-    Degraded { retries: u32 },
-    /// Set aside with a structured reason; excluded from aggregates.
-    Quarantined(ErrorClass),
 }
 
 /// Bounded retry with deterministic exponential backoff.
