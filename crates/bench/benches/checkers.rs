@@ -1,37 +1,10 @@
-//! Checker battery benchmarks: per-rule cost, full-battery cost, and the
-//! §4.4 auto-fixer.
-//!
-//! Deliberately exercises the deprecated `check_page`/`check_context`
-//! shims: these series track the one-shot convenience path's cost across
-//! builds for as long as the shims live.
-#![allow(deprecated)]
+//! Checker benchmarks: per-rule cost, the mitigation flags, and the §4.4
+//! auto-fixer. Full-battery cost lives in `benches/battery.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hv_core::checkers;
 use hv_core::context::CheckContext;
 use std::hint::black_box;
-
-fn bench_full_battery(c: &mut Criterion) {
-    let pages = hv_bench::sample_pages(32);
-    let mut g = c.benchmark_group("checkers");
-    g.bench_function("check_page_32_pages", |b| {
-        b.iter(|| {
-            let mut findings = 0usize;
-            for p in &pages {
-                findings += checkers::check_page(black_box(p)).findings.len();
-            }
-            black_box(findings)
-        })
-    });
-    // Battery cost excluding the parse (the paper runs rules
-    // "independently of each other" over a pre-parsed context).
-    let page = hv_bench::violating_page();
-    let cx = CheckContext::new(&page);
-    g.bench_function("battery_without_parse", |b| {
-        b.iter(|| black_box(checkers::check_context(black_box(&cx))).findings.len())
-    });
-    g.finish();
-}
 
 fn bench_individual_rules(c: &mut Criterion) {
     // Per-rule cost of the pre-fusion scans (the fused engine has no
@@ -67,11 +40,5 @@ fn bench_autofix(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_full_battery,
-    bench_individual_rules,
-    bench_mitigations,
-    bench_autofix
-);
+criterion_group!(benches, bench_individual_rules, bench_mitigations, bench_autofix);
 criterion_main!(benches);

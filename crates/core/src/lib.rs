@@ -71,8 +71,3 @@ pub use context::CheckContext;
 pub use error::HvError;
 pub use report::{Finding, MitigationFlags, PageReport};
 pub use taxonomy::{Fixability, ProblemGroup, ViolationCategory, ViolationKind};
-
-/// Convenience re-export of the deprecated one-shot shim; use
-/// [`Battery::full`] + [`Battery::run_str`] instead.
-#[allow(deprecated)]
-pub use checkers::check_page;

@@ -4,11 +4,9 @@
 //! clients get byte-identical findings to the in-process `Battery` path
 //! (what `hva check` runs), saturation answers 503 with `Retry-After`
 //! instead of dropping connections, an oversized body is refused with 413
-//! before the server reads it, a malformed request line gets 400, graceful
-//! shutdown finishes in-flight requests, and the deprecated one-shot shims
-//! still agree with the supported `Battery` methods.
+//! before the server reads it, a malformed request line gets 400, and
+//! graceful shutdown finishes in-flight requests.
 
-use html_violations::hv_core::CheckContext;
 use html_violations::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -225,30 +223,6 @@ fn healthz_and_metricsz_respond() {
     assert!(body.contains("POST /v1/check"), "metricsz missing per-route stats: {body}");
 
     server.shutdown();
-}
-
-/// The deprecated one-shot shims must stay behaviourally identical to the
-/// supported `Battery` methods for as long as they live.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_agree_with_battery_methods() {
-    let page = r#"<img src="logo.png"onerror="alert(1)"><table><tr><b>x</b></tr></table>"#;
-    let mut battery = Battery::full();
-
-    let via_shim = check_page(page);
-    let via_battery = battery.run_str(page);
-    assert_eq!(via_shim.findings, via_battery.findings);
-    assert_eq!(via_shim.mitigations, via_battery.mitigations);
-
-    let via_shim = html_violations::hv_core::checkers::check_fragment(page);
-    let via_battery = battery.run_fragment(page, "div");
-    assert_eq!(via_shim.findings, via_battery.findings);
-
-    let cx = CheckContext::new(page);
-    let via_shim = html_violations::hv_core::checkers::check_context(&cx);
-    let via_battery = battery.run(&cx);
-    assert_eq!(via_shim.findings, via_battery.findings);
-    assert_eq!(via_shim.mitigations, via_battery.mitigations);
 }
 
 /// Read exactly `n` responses off one keep-alive connection, splitting on
