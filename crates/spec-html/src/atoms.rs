@@ -48,8 +48,12 @@ use std::sync::{Arc, OnceLock};
 /// This table is deliberately generous: membership is *only* a perf
 /// optimization. A name missing from the table still works — it becomes a
 /// dynamic atom with identical semantics.
+pub static STATIC_ATOMS: &[&str] = ATOMS;
+
+/// The table behind [`STATIC_ATOMS`], as a constant so that [`atom!`] can
+/// resolve literal names at compile time.
 #[rustfmt::skip]
-pub static STATIC_ATOMS: &[&str] = &[
+const ATOMS: &[&str] = &[
     // The empty name: Atom::default(), placeholder tags.
     "",
     // HTML elements (current + obsolete — archived pages use both).
@@ -170,6 +174,45 @@ fn sorted_index() -> &'static [u16] {
     })
 }
 
+/// Byte-slice equality usable in `const fn`.
+const fn const_eq(a: &[u8], b: &[u8]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// Index of `name` in [`STATIC_ATOMS`], for use in constants; a name
+/// missing from the table fails the build.
+pub(crate) const fn known_id(name: &str) -> u16 {
+    let mut i = 0;
+    while i < ATOMS.len() {
+        if const_eq(ATOMS[i].as_bytes(), name.as_bytes()) {
+            return i as u16;
+        }
+        i += 1;
+    }
+    panic!("name missing from STATIC_ATOMS");
+}
+
+/// The static-table [`Atom`] for a literal name, resolved at compile time
+/// (no table lookup at run time). Crate-internal: hot paths that compare
+/// against a fixed name use it instead of [`Atom::from_name`].
+macro_rules! atom {
+    ($name:literal) => {{
+        const ATOM: $crate::atoms::Atom = $crate::atoms::Atom::known($name);
+        ATOM
+    }};
+}
+pub(crate) use atom;
+
 /// Look up a name in the static table.
 fn lookup_static(name: &str) -> Option<u16> {
     let index = sorted_index();
@@ -200,6 +243,12 @@ impl Atom {
             Some(i) => Atom(Repr::Static(i)),
             None => Atom(Repr::Dyn(Arc::from(name))),
         }
+    }
+
+    /// The static atom for `name`, evaluated at compile time by [`atom!`];
+    /// a name missing from the table fails the build.
+    pub(crate) const fn known(name: &str) -> Atom {
+        Atom(Repr::Static(known_id(name)))
     }
 
     /// Construct from a known static-table index (crate-internal: used by

@@ -23,10 +23,10 @@ impl Builder {
     /// §13.2.6 dispatcher condition: should this token be processed by the
     /// foreign content rules?
     pub(crate) fn use_foreign_rules(&self, token: &Token) -> bool {
-        let Some((ns, name)) = self.adjusted_current() else { return false };
-        if ns == Namespace::Html {
+        if !self.current_is_foreign() {
             return false;
         }
+        let Some((ns, name)) = self.adjusted_current() else { return false };
         // MathML text integration point: HTML rules except for
         // mglyph/malignmark start tags.
         if ns == Namespace::MathMl && tags::is_mathml_text_integration_atom(&name) {
@@ -76,16 +76,14 @@ impl Builder {
 
     /// Namespace of the outermost foreign element currently open — tells the
     /// HF5 checker whether a breakout escaped an `<svg>` or a `<math>`.
-    fn foreign_root_ns(&self) -> Namespace {
-        for &id in &self.open {
-            if let Some(e) = self.doc.element(id) {
-                if e.ns != Namespace::Html {
-                    return e.ns;
-                }
-            }
-        }
+    pub(crate) fn foreign_root_ns(&self) -> Namespace {
+        let outermost = self.open.outermost_foreign().map(|i| self.open[i]);
         // Fall back to the current node's namespace.
-        self.current().and_then(|id| self.doc.element(id)).map(|e| e.ns).unwrap_or(Namespace::Html)
+        outermost
+            .or_else(|| self.current())
+            .and_then(|id| self.doc.element(id))
+            .map(|e| e.ns)
+            .unwrap_or(Namespace::Html)
     }
 
     /// §13.2.6.5 "The rules for parsing tokens in foreign content".
@@ -125,7 +123,7 @@ impl Builder {
                     });
                     #[allow(clippy::while_let_loop)]
                     loop {
-                        let Some(&cur) = self.open.last() else { break };
+                        let Some(cur) = self.open.last() else { break };
                         let Some(e) = self.doc.element(cur) else { break };
                         let stop = e.ns == Namespace::Html
                             || (e.ns == Namespace::MathMl

@@ -49,6 +49,14 @@ cases! {
     // Misnesting does split: the </em> inside the div triggers adoption.
     em_misnested_block: "<em>a<div>b</em>c</div>" => "<em>a</em><div><em>b</em>c</div>";
     font_preserved: "<font color=red>x</font>" => "<font color=\"red\">x</font>";
+    // html5lib's Noah's Ark case: at most three entries with the same
+    // name and attributes (paired by name and value, in any order) since
+    // the last marker; a fourth evicts the earliest.
+    noahs_ark: "<p><b class=x><b class=x><b><b class=x><b class=x><b>X<p>X<p><b><b class=x><b>X<p></b></b></b></b></b></b>X"
+        => "<p><b class=\"x\"><b class=\"x\"><b><b class=\"x\"><b class=\"x\"><b>X</b></b></b></b></b></b></p>\
+            <p><b class=\"x\"><b><b class=\"x\"><b class=\"x\"><b>X</b></b></b></b></b></p>\
+            <p><b class=\"x\"><b><b class=\"x\"><b class=\"x\"><b><b><b class=\"x\"><b>X</b></b></b></b></b></b></b></b></p>\
+            <p>X</p>";
 
     // --- tables / foster parenting ---
     table_text_fostered: "<table>text<tr><td>x</td></tr></table>"
