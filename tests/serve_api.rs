@@ -162,6 +162,26 @@ fn oversized_body_is_refused_with_413() {
     server.shutdown();
 }
 
+/// `/v1/fix` serializes the repaired page. A page nested 200,000 deep fits
+/// the default body limit; the worker, on its default 2 MiB stack, must
+/// answer it with a 200 and then live on to answer the next request.
+#[test]
+fn deep_page_fix_returns_200_and_the_worker_survives() {
+    let (server, addr) = start(ServeOptions::new().addr("127.0.0.1:0").threads(1).queue_depth(4));
+
+    let page = format!("<body>{}", "<div>".repeat(200_000));
+    assert!(page.len() <= hv_server::DEFAULT_MAX_BODY);
+    let (status, _, body) = post(&addr, "/v1/fix", "text/html", page.as_bytes());
+    assert!(status.contains("200"), "deep page fix: {status}");
+    assert!(body.contains("\"fixed_html\""), "unexpected fix body prefix: {:.200}", body);
+    assert!(body.contains(&"</div>".repeat(8)), "repaired page lost its nesting");
+
+    let (status, _, _) = post(&addr, "/v1/check", "text/html", b"<p>x</p>");
+    assert!(status.contains("200"), "request after the deep fix: {status}");
+
+    server.shutdown();
+}
+
 #[test]
 fn malformed_request_line_gets_400() {
     let (server, addr) = start(ServeOptions::new().addr("127.0.0.1:0").threads(1).queue_depth(4));
