@@ -18,6 +18,7 @@
 //! reports which violations disappeared and which (manual) ones remain.
 
 use crate::battery::Battery;
+use crate::context::head_members;
 use crate::taxonomy::{Fixability, ViolationKind};
 use spec_html::dom::{Document, NodeId};
 use spec_html::serializer;
@@ -89,14 +90,15 @@ fn relocate_head_content(dom: &mut Document) {
     let Some(head) = dom.find_html("head") else { return };
 
     // Collect offending nodes first (can't mutate while iterating).
+    let inside_head = head_members(dom);
     let mut stray_metas: Vec<NodeId> = Vec::new();
     let mut bases: Vec<NodeId> = Vec::new();
-    for id in dom.all_elements().collect::<Vec<_>>() {
+    for id in dom.all_elements() {
         if dom.is_html(id, "base") {
             bases.push(id);
         } else if dom.is_html(id, "meta")
             && dom.element(id).is_some_and(|e| e.has_attr("http-equiv"))
-            && !dom.ancestors(id).any(|a| dom.is_html(a, "head"))
+            && !inside_head[id.index()]
         {
             stray_metas.push(id);
         }

@@ -8,11 +8,6 @@ use spec_html::dom::NodeId;
 use spec_html::errors::ParseError;
 use spec_html::{tags, ErrorCode};
 
-/// Whether `id` sits inside the document's `head` element.
-fn inside_head(cx: &CheckContext<'_>, id: NodeId) -> bool {
-    cx.parse.dom.ancestors(id).any(|a| cx.parse.dom.is_html(a, "head"))
-}
-
 /// DM1 — `meta[http-equiv]` outside `head`.
 ///
 /// `http-equiv` metas can set cookies, redirect, or declare a CSP, and are
@@ -35,7 +30,7 @@ impl Check for Dm1 {
         let dom = &cx.parse.dom;
         if dom.is_html(id, "meta")
             && dom.element(id).is_some_and(|e| e.has_attr("http-equiv"))
-            && !inside_head(cx, id)
+            && !cx.inside_head(id)
         {
             let what =
                 dom.element(id).and_then(|e| e.attr("http-equiv")).unwrap_or_default().to_owned();
@@ -63,7 +58,7 @@ impl Check for Dm2_1 {
 
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {
         let dom = &cx.parse.dom;
-        if dom.is_html(id, "base") && !inside_head(cx, id) {
+        if dom.is_html(id, "base") && !cx.inside_head(id) {
             let off = dom.element(id).map(|e| e.src_offset).unwrap_or(0);
             out.push(Finding::new(ViolationKind::DM2_1, off, "base element outside head"));
         }

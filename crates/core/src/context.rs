@@ -5,9 +5,10 @@
 //! [`CheckContext`] is built once (one full parse) and every checker reads
 //! from it.
 
+use spec_html::dom::{Document, NodeId};
 use spec_html::tokenizer::Tag;
 use spec_html::ParseOutput;
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 
 /// Which start tags the checkers can ever act on: tags carrying at least
 /// one attribute (DE3_1/DE3_2/DE3_3 and the §4.5 mitigation flags inspect
@@ -31,6 +32,23 @@ pub struct CheckContext<'a> {
     /// and each call advances from where the last one stopped instead of
     /// re-walking the document head.
     cursor: Cell<(usize, usize)>,
+    /// [`head_members`] of the DOM, collected on first use.
+    head_members: OnceCell<Vec<bool>>,
+}
+
+/// Per node id: whether the node has the HTML `head` element among its
+/// ancestors. One walk of the head's subtree, so asking it for every
+/// `meta` and `base` on a page costs O(page) rather than O(page × depth).
+/// The parser creates at most one head element, the first in document
+/// order, which sits near the start of the walk.
+pub(crate) fn head_members(dom: &Document) -> Vec<bool> {
+    let mut inside = vec![false; dom.len()];
+    if let Some(head) = dom.find_html("head") {
+        for id in dom.descendants(head) {
+            inside[id.index()] = true;
+        }
+    }
+    inside
 }
 
 impl<'a> CheckContext<'a> {
@@ -42,7 +60,13 @@ impl<'a> CheckContext<'a> {
                 start_tags.push(tag.clone());
             }
         });
-        CheckContext { raw, parse, start_tags, cursor: Cell::new((0, 0)) }
+        CheckContext {
+            raw,
+            parse,
+            start_tags,
+            cursor: Cell::new((0, 0)),
+            head_members: OnceCell::new(),
+        }
     }
 
     /// Build the context from an HTML *fragment* (innerHTML semantics in
@@ -57,7 +81,19 @@ impl<'a> CheckContext<'a> {
                 start_tags.push(tag.clone());
             }
         });
-        CheckContext { raw, parse, start_tags, cursor: Cell::new((0, 0)) }
+        CheckContext {
+            raw,
+            parse,
+            start_tags,
+            cursor: Cell::new((0, 0)),
+            head_members: OnceCell::new(),
+        }
+    }
+
+    /// Whether `id` sits inside the document's `head` element. The head
+    /// subtrees are collected once per document, on the first call.
+    pub fn inside_head(&self, id: NodeId) -> bool {
+        self.head_members.get_or_init(|| head_members(&self.parse.dom))[id.index()]
     }
 
     /// The checker-relevant start tags of the token stream, in source
@@ -123,6 +159,27 @@ mod tests {
     fn bare_body_tag_is_still_collected() {
         let cx = CheckContext::new("<body><body><p>x</p>");
         assert_eq!(cx.start_tags().filter(|t| t.name == "body").count(), 2);
+    }
+
+    /// The head subtree answers exactly what an ancestor walk answers.
+    #[test]
+    fn inside_head_matches_the_ancestor_walk() {
+        for page in [
+            "<head><meta http-equiv=a><base href=x><title>t</title></head><body><meta http-equiv=b>",
+            "<meta http-equiv=a><div><base href=y><p><meta http-equiv=c>",
+            "<html><head><noscript><meta http-equiv=d></noscript></head><svg><base>",
+            "<title>t</title><template><meta http-equiv=e></template><body><base>",
+        ] {
+            let cx = CheckContext::new(page);
+            let dom = &cx.parse.dom;
+            for id in dom.descendants(dom.root()) {
+                let walk = dom.ancestors(id).any(|a| dom.is_html(a, "head"));
+                assert_eq!(cx.inside_head(id), walk, "node {id:?} of {page:?}");
+            }
+        }
+        let cx = CheckContext::fragment("<meta http-equiv=a><base>", "div");
+        let dom = &cx.parse.dom;
+        assert!(dom.descendants(dom.root()).all(|id| !cx.inside_head(id)));
     }
 
     #[test]
