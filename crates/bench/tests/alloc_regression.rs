@@ -8,8 +8,9 @@
 //! CI goes red — the point is to make allocation regressions as loud as
 //! throughput regressions.
 //!
-//! Counts are exact: the measurement closures run single-threaded under
-//! `hv_bench::alloc::CountingAlloc`.
+//! Counts are exact: `hv_bench::alloc::CountingAlloc` counts per thread,
+//! so the tests here, which `cargo test` runs on parallel threads, do not
+//! count each other's allocations.
 
 use hv_bench::alloc::count_allocations;
 use hv_bench::{dense_violating_page, profile_page};
