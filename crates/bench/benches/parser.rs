@@ -44,10 +44,16 @@ fn bench_tree_builder(c: &mut Criterion) {
     let deep_tables = "<table>".repeat(60) + &"x".repeat(500);
     let misnested = "<b><i><u>".repeat(40) + "text" + &"</b></i></u>".repeat(40);
     let unterminated = format!("<textarea>{}", "swallowed content ".repeat(200));
+    // Unclosed <div>s keep the stack of open elements deep: 64 KiB and
+    // 128 KiB should cost 1x and 2x.
+    let deep_64k = "<div>".repeat((64 << 10) / 5);
+    let deep_128k = "<div>".repeat((128 << 10) / 5);
     for (name, input) in [
         ("nested_tables", &deep_tables),
         ("misnested_formatting", &misnested),
         ("unterminated_textarea", &unterminated),
+        ("deep_nesting_64k", &deep_64k),
+        ("deep_nesting_128k", &deep_128k),
     ] {
         g.bench_function(name, |b| {
             b.iter(|| black_box(spec_html::parse_document(black_box(input))).dom.len())
