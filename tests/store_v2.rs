@@ -22,6 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 const FIXTURE: &str = "tests/fixtures/store_v0.json";
+/// `hv_report::render("aux", …)` of [`FIXTURE`] (seed 2024, scale 0.002).
+const AUX_GOLDEN: &str = "tests/fixtures/report_aux_seed2024.txt";
 
 /// A unique temp path per call, so proptest cases never collide.
 fn temp_path(tag: &str) -> PathBuf {
@@ -57,6 +59,14 @@ fn golden_migration_renders_every_experiment_byte_identical() {
         let from_live = hv_report::render(name, &live).unwrap();
         assert_eq!(from_v0, from_v1, "{name}: v0 vs migrated v1 render diverged");
         assert_eq!(from_v0, from_live, "{name}: v0 vs live-index render diverged");
+    }
+
+    // The side studies are not read from the records, so the three-way
+    // comparison above cannot catch a change to them: pin their text.
+    let golden = std::fs::read_to_string(AUX_GOLDEN).unwrap();
+    for (label, store) in [("v0", &v0), ("v1", &v1), ("live", &live)] {
+        let aux = hv_report::render("aux", store).unwrap();
+        assert_eq!(aux, golden, "{label}: aux render differs from {AUX_GOLDEN}");
     }
     std::fs::remove_file(&v1_path).ok();
 }
