@@ -10,6 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hv_corpus::{Archive, CorpusConfig, Snapshot};
+use hv_pipeline::auxstudies::AuxStudies;
 use hv_pipeline::{aggregate, scan, IndexedStore, ScanOptions};
 use std::hint::black_box;
 use std::sync::OnceLock;
@@ -97,6 +98,12 @@ fn bench_statistics(c: &mut Criterion) {
 
     g.bench_function("full_report_render", |b| {
         b.iter(|| black_box(hv_report::full_report(black_box(store))).len())
+    });
+
+    // The store keeps its side studies after the first render, so the
+    // render above times them once at most; this bench runs them uncached.
+    g.bench_function("aux_studies", |b| {
+        b.iter(|| black_box(AuxStudies::run(store.seed, store.scale)).longtail.popular_domains)
     });
     g.finish();
 }

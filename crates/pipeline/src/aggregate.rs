@@ -12,6 +12,7 @@
 //! asserted by unit tests here, the root proptest suite, and the golden
 //! migration test.
 
+use crate::auxstudies::AuxStudies;
 use crate::format::{DroppedSegment, LoadOptions, SegmentSummary};
 use crate::store::{LoadedStore, ResultStore, StoreFormat};
 use hv_core::{HvError, ProblemGroup, ViolationKind};
@@ -21,6 +22,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Deref;
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Number of violation kinds (bitmask width).
 const KINDS: usize = ViolationKind::ALL.len();
@@ -399,6 +401,8 @@ pub struct IndexedStore {
     pub segments: Vec<SegmentSummary>,
     /// Segments a partial load dropped (empty unless `allow_partial`).
     pub dropped: Vec<DroppedSegment>,
+    /// The §5.1/§5.2 side studies, filled by the first [`IndexedStore::aux`].
+    aux: OnceLock<AuxStudies>,
 }
 
 impl Deref for IndexedStore {
@@ -414,7 +418,14 @@ impl IndexedStore {
     pub fn new(store: ResultStore) -> Self {
         let index = AggregateIndex::build(&store);
         let segments = SegmentSummary::derive(&store);
-        IndexedStore { store, index, format: None, segments, dropped: Vec::new() }
+        IndexedStore {
+            store,
+            index,
+            format: None,
+            segments,
+            dropped: Vec::new(),
+            aux: OnceLock::new(),
+        }
     }
 
     /// Load (sniffing v0/v1) and index in one step, strictly.
@@ -436,7 +447,16 @@ impl IndexedStore {
             format: Some(loaded.format),
             segments: loaded.segments,
             dropped: loaded.dropped,
+            aux: OnceLock::new(),
         }
+    }
+
+    /// The §5.1/§5.2 side studies for the store's (seed, scale). They are
+    /// computed from the synthetic archive, not from the records, on first
+    /// use — at most once per store, however many renders or server
+    /// workers ask.
+    pub fn aux(&self) -> &AuxStudies {
+        self.aux.get_or_init(|| AuxStudies::run(self.store.seed, self.store.scale))
     }
 
     /// The underlying store, for callers that need to mutate or persist.

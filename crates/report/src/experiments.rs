@@ -11,6 +11,7 @@ use hv_corpus::calibration::{
     PAPER_NEWLINE_URL_PCT, PAPER_UNION_ANY_PCT,
 };
 use hv_corpus::snapshots::{Snapshot, TABLE2_TARGETS, YEARS};
+use hv_pipeline::auxstudies::AuxStudies;
 use hv_pipeline::IndexedStore;
 
 /// Table 1: the violation list (static — the taxonomy itself).
@@ -313,14 +314,10 @@ pub fn churn(store: &IndexedStore) -> String {
     )
 }
 
-/// §5.1/§5.2: the auxiliary studies (dynamic content and long tail).
-/// Rebuilds the archive from the store's (seed, scale) provenance and runs
-/// both side analyses.
+/// §5.1/§5.2: the auxiliary studies (dynamic content and long tail), run
+/// for the store's (seed, scale) by [`IndexedStore::aux`].
 pub fn aux_studies(store: &IndexedStore) -> String {
-    let archive =
-        hv_corpus::Archive::new(hv_corpus::CorpusConfig { seed: store.seed, scale: store.scale });
-    let top_k = (archive.domains().len() / 20).clamp(50, 1000);
-    let dynamic = hv_pipeline::auxstudies::dynamic_study(&archive, top_k, 30);
+    let AuxStudies { dynamic, longtail: lt } = store.aux();
     let mut s = String::from("Auxiliary studies (§5.1 / §5.2)\n\n");
     s.push_str(&format!(
         "§5.1 dynamically loaded content (top {} domains, 2021):\n\
@@ -345,8 +342,6 @@ pub fn aux_studies(store: &IndexedStore) -> String {
             .map(|(_, c)| *c)
             .unwrap_or(0),
     ));
-    let sample = (archive.domains().len() / 10).clamp(50, 500);
-    let lt = hv_pipeline::auxstudies::longtail_study(&archive, sample, Snapshot::ALL[6]);
     s.push_str(&format!(
         "§5.2 less popular websites ({} per population, {}):\n\
          \x20 violating share:   popular {:.1}%  vs  long tail {:.1}%\n\

@@ -6,7 +6,9 @@
 //! Everything shared and read-only (the loaded [`IndexedStore`], the
 //! metrics registry, limits) sits behind one [`Shared`] Arc. The
 //! aggregate index is built **once** at startup; report endpoints render
-//! from it with no per-request re-aggregation.
+//! from it with no per-request re-aggregation. The side studies behind
+//! `aux` and `all` are run by the first request that needs them and kept
+//! in the store ([`IndexedStore::aux`]).
 //!
 //! Every handler runs inside a `catch_unwind` boundary: a panic on a
 //! hostile document becomes a `500 internal_panic` response and a fresh
@@ -337,11 +339,18 @@ mod tests {
 
     #[test]
     fn report_with_store_renders() {
-        let store = hv_pipeline::ResultStore::new(7, 0.01, 100);
+        // Scale 0.0 is the one-domain universe, so the side studies behind
+        // `aux` stay small.
+        let store = hv_pipeline::ResultStore::new(7, 0.0, 1);
         let mut h = handler(Some(store));
         let r = h.handle(&request("GET", "/v1/report/table1", b"", None));
         assert_eq!(r.response.status, 200);
         assert!(body_str(&r.response).contains("Table 1"));
+        let aux = h.handle(&request("GET", "/v1/report/aux", b"", None));
+        assert_eq!(aux.response.status, 200);
+        let all = h.handle(&request("GET", "/v1/report/all", b"", None));
+        assert_eq!(all.response.status, 200);
+        assert!(body_str(&all.response).ends_with(&body_str(&aux.response)));
         let unknown = h.handle(&request("GET", "/v1/report/fig99", b"", None));
         assert_eq!(unknown.response.status, 404);
         let s = h.handle(&request("GET", "/v1/store/summary", b"", None));
