@@ -171,7 +171,7 @@ impl Sanitizer {
                         || (foreign && !self.allow_foreign)
                 }
                 NodeData::Comment(_) => true, // comments hide payload halves
-                NodeData::Doctype { .. } => true,
+                NodeData::Doctype(_) => true,
                 NodeData::Text(_) | NodeData::Document => false,
             };
             if remove {
@@ -251,6 +251,18 @@ mod tests {
     fn event_handlers_stripped() {
         let out = Sanitizer::permissive().sanitize(r#"<img src="x.png" onerror="alert(1)">"#);
         assert_eq!(out, r#"<img src="x.png">"#);
+    }
+
+    #[test]
+    fn handlers_are_stripped_from_every_recreated_copy() {
+        // Each later paragraph re-creates the <b>, sharing one attribute
+        // list; stripping the handler from one copy must reach them all.
+        let out = Sanitizer::permissive().sanitize("<p><b onclick=go() class=x>1<p>2<p>3");
+        assert_eq!(
+            out,
+            r#"<p><b class="x">1</b></p><p><b class="x">2</b></p><p><b class="x">3</b></p>"#
+        );
+        assert!(!is_executable(&out));
     }
 
     #[test]

@@ -5,17 +5,44 @@
 //! frequent structural edits (foster parenting moves nodes *mid-stream*,
 //! the adoption agency re-parents whole ranges) cheap and safe without
 //! reference counting.
+//!
+//! A node is 72 bytes: four-byte links, a boxed doctype (rare, and large
+//! unboxed), and an element's attributes as one shared, immutable list
+//! ([`Attrs`]), so the elements that formatting reconstruction re-creates
+//! from one start tag cost no allocation.
 
 use crate::atoms::{Atom, SharedStr};
 use std::fmt;
+use std::num::NonZeroU32;
+use std::ops::Deref;
+use std::sync::Arc;
 
-/// Index of a node in a [`Document`] arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub(crate) u32);
+// Every byte is paid per element, and reconstruction can build Θ(k²) of them.
+const _: () = assert!(size_of::<Node>() <= 72);
+
+/// Index of a node in a [`Document`] arena. Stored as index + 1, so
+/// `Option<NodeId>` is four bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NodeId(NonZeroU32);
 
 impl NodeId {
+    /// The id of the node at `index`. Panics past `u32::MAX - 1` nodes.
+    pub(crate) fn from_index(index: usize) -> NodeId {
+        u32::try_from(index)
+            .ok()
+            .and_then(|i| NonZeroU32::MIN.checked_add(i))
+            .map(NodeId)
+            .expect("DOM node index fits in u32")
+    }
+
     pub fn index(self) -> usize {
-        self.0 as usize
+        (self.0.get() - 1) as usize
+    }
+}
+
+impl fmt::Debug for NodeId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("NodeId").field(&self.index()).finish()
     }
 }
 
@@ -47,6 +74,73 @@ pub struct ElemAttr {
     pub value: SharedStr,
 }
 
+/// An element's attribute list: immutable, and shared by every element
+/// created from the same start tag (the list of active formatting elements
+/// keeps it to re-create them). An empty list allocates nothing. A writer
+/// builds a new list for the one element it changes, so the others keep
+/// theirs.
+#[derive(Debug, Clone, Default)]
+pub struct Attrs(Option<Arc<[ElemAttr]>>);
+
+impl Attrs {
+    /// Whether `a` and `b` are the same shared list (two empty lists are).
+    pub fn ptr_eq(a: &Attrs, b: &Attrs) -> bool {
+        match (&a.0, &b.0) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
+    /// Keep the attributes `keep` accepts, in a new list; a list that loses
+    /// nothing stays shared.
+    pub fn retain(&mut self, mut keep: impl FnMut(&ElemAttr) -> bool) {
+        let mut kept = self.to_vec();
+        kept.retain(|a| keep(a));
+        if kept.len() < self.len() {
+            *self = kept.into();
+        }
+    }
+}
+
+impl Deref for Attrs {
+    type Target = [ElemAttr];
+    fn deref(&self) -> &[ElemAttr] {
+        self.0.as_deref().unwrap_or_default()
+    }
+}
+
+impl<'a> IntoIterator for &'a Attrs {
+    type Item = &'a ElemAttr;
+    type IntoIter = std::slice::Iter<'a, ElemAttr>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl FromIterator<ElemAttr> for Attrs {
+    fn from_iter<I: IntoIterator<Item = ElemAttr>>(iter: I) -> Attrs {
+        let mut iter = iter.into_iter().peekable();
+        Attrs(iter.peek().is_some().then(|| iter.collect()))
+    }
+}
+
+impl From<Vec<ElemAttr>> for Attrs {
+    fn from(list: Vec<ElemAttr>) -> Attrs {
+        Attrs((!list.is_empty()).then(|| list.into()))
+    }
+}
+
+/// Appends, in a new list; appending nothing keeps the list shared.
+impl Extend<ElemAttr> for Attrs {
+    fn extend<I: IntoIterator<Item = ElemAttr>>(&mut self, iter: I) {
+        let mut more = iter.into_iter().peekable();
+        if more.peek().is_some() {
+            *self = self.iter().cloned().chain(more).collect();
+        }
+    }
+}
+
 /// Element payload.
 #[derive(Debug, Clone)]
 pub struct Element {
@@ -54,7 +148,7 @@ pub struct Element {
     /// case (`foreignObject`, `clipPath`, …).
     pub name: Atom,
     pub ns: Namespace,
-    pub attrs: Vec<ElemAttr>,
+    pub attrs: Attrs,
     /// Character offset of the `<` of the start tag that created this
     /// element (0 for implied elements).
     pub src_offset: usize,
@@ -70,11 +164,19 @@ impl Element {
     }
 }
 
+/// A DOCTYPE node's payload.
+#[derive(Debug, Clone)]
+pub struct Doctype {
+    pub name: String,
+    pub public_id: String,
+    pub system_id: String,
+}
+
 /// What a node is.
 #[derive(Debug, Clone)]
 pub enum NodeData {
     Document,
-    Doctype { name: String, public_id: String, system_id: String },
+    Doctype(Box<Doctype>),
     Element(Element),
     Text(String),
     Comment(String),
@@ -120,7 +222,7 @@ impl Document {
 
     /// The document node.
     pub fn root(&self) -> NodeId {
-        NodeId(0)
+        NodeId::from_index(0)
     }
 
     pub fn len(&self) -> usize {
@@ -142,7 +244,7 @@ impl Document {
 
     /// Create a detached node.
     pub fn create(&mut self, data: NodeData) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
+        let id = NodeId::from_index(self.nodes.len());
         self.nodes.push(Node {
             data,
             parent: None,
@@ -158,7 +260,7 @@ impl Document {
         &mut self,
         name: impl Into<Atom>,
         ns: Namespace,
-        attrs: Vec<ElemAttr>,
+        attrs: impl Into<Attrs>,
     ) -> NodeId {
         self.create_element_at(name, ns, attrs, 0)
     }
@@ -168,9 +270,10 @@ impl Document {
         &mut self,
         name: impl Into<Atom>,
         ns: Namespace,
-        attrs: Vec<ElemAttr>,
+        attrs: impl Into<Attrs>,
         src_offset: usize,
     ) -> NodeId {
+        let attrs = attrs.into();
         self.create(NodeData::Element(Element { name: name.into(), ns, attrs, src_offset }))
     }
 
@@ -360,7 +463,7 @@ impl Document {
     /// the tree is acyclic.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, node) in self.nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
+            let id = NodeId::from_index(i);
             let mut prev = None;
             let mut child = node.first_child;
             let mut seen = 0usize;

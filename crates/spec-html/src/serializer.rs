@@ -71,9 +71,9 @@ fn serialize_node(doc: &Document, root: NodeId, out: &mut String) {
 fn open_node(doc: &Document, id: NodeId, out: &mut String) -> bool {
     match &doc.node(id).data {
         NodeData::Document => true,
-        NodeData::Doctype { name, .. } => {
+        NodeData::Doctype(d) => {
             out.push_str("<!DOCTYPE ");
-            out.push_str(name);
+            out.push_str(&d.name);
             out.push('>');
             false
         }

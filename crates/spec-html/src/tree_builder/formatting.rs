@@ -8,23 +8,23 @@
 
 use super::{Builder, Class, TreeEventKind};
 use crate::atoms::{atom, Atom};
-use crate::dom::{ElemAttr, Namespace, NodeId};
-use crate::tokenizer::{Attr, Tag};
+use crate::dom::{Attrs, ElemAttr, Namespace, NodeId};
 
 /// An entry in the list of active formatting elements.
 #[derive(Debug, Clone)]
 pub enum FormatEntry {
     /// Scope marker (inserted by applet/object/marquee/template/td/th/caption).
     Marker,
-    /// A formatting element, with the tag that created it (for re-creation
-    /// during reconstruction).
-    Element { node: NodeId, tag: Tag },
+    /// A formatting element, with what re-creating it takes: the name,
+    /// source offset and attribute list of the start tag that created it.
+    /// Every re-created copy shares `attrs`.
+    Element { node: NodeId, name: Atom, src_offset: usize, attrs: Attrs },
 }
 
 /// Whether two formatting elements were created with the same attributes:
 /// §13.2.4.3 pairs attributes by name and value, in any order. (Names are
 /// unique within a tag; the tokenizer drops duplicates.)
-fn same_attrs(a: &[Attr], b: &[Attr]) -> bool {
+fn same_attrs(a: &[ElemAttr], b: &[ElemAttr]) -> bool {
     a.len() == b.len() && a.iter().all(|x| b.iter().any(|y| y.name == x.name && y.value == x.value))
 }
 
@@ -40,14 +40,16 @@ pub fn clear_to_marker(list: &mut Vec<FormatEntry>) {
 impl Builder {
     /// Push onto the list of active formatting elements with the Noah's Ark
     /// clause (at most three identical entries since the last marker).
-    pub(crate) fn push_formatting(&mut self, node: NodeId, tag: &Tag) {
+    pub(crate) fn push_formatting(&mut self, node: NodeId) {
+        let e = self.doc.element(node).expect("formatting entries are elements");
+        let (name, src_offset, attrs) = (e.name.clone(), e.src_offset, e.attrs.clone());
         let mut same = 0usize;
         let mut drop_idx = None;
         for (i, e) in self.formatting.iter().enumerate().rev() {
             match e {
                 FormatEntry::Marker => break,
-                FormatEntry::Element { tag: t, .. } => {
-                    if t.name == tag.name && same_attrs(&t.attrs, &tag.attrs) {
+                FormatEntry::Element { name: n, attrs: a, .. } => {
+                    if *n == name && same_attrs(a, &attrs) {
                         same += 1;
                         drop_idx = Some(i);
                     }
@@ -59,7 +61,22 @@ impl Builder {
                 self.formatting.remove(i);
             }
         }
-        self.formatting.push(FormatEntry::Element { node, tag: tag.clone() });
+        self.formatting.push(FormatEntry::Element { node, name, src_offset, attrs });
+    }
+
+    /// A new detached element for formatting entry `i`, sharing its
+    /// attribute list, and made the entry's node. Reconstruction passes the
+    /// entry's `src_offset`; the adoption agency's clones take 0.
+    fn recreate(&mut self, i: usize, src_offset: usize) -> NodeId {
+        let FormatEntry::Element { name, attrs, .. } = &self.formatting[i] else {
+            unreachable!("markers are never re-created")
+        };
+        let new =
+            self.doc.create_element_at(name.clone(), Namespace::Html, attrs.clone(), src_offset);
+        if let FormatEntry::Element { node, .. } = &mut self.formatting[i] {
+            *node = new;
+        }
+        new
     }
 
     /// Remove a node from the formatting list, if present.
@@ -101,16 +118,14 @@ impl Builder {
         }
         // 7-10. Re-create each entry in order and update the list.
         while i < self.formatting.len() {
-            let tag = match &self.formatting[i] {
-                FormatEntry::Element { tag, .. } => tag.clone(),
-                FormatEntry::Marker => {
-                    i += 1;
-                    continue;
-                }
+            let FormatEntry::Element { name, src_offset, .. } = &self.formatting[i] else {
+                i += 1;
+                continue;
             };
+            let (name, src_offset) = (name.clone(), *src_offset);
             let foster = self.foster_for_current();
-            let new = self.insert_element(&tag, Namespace::Html, foster);
-            self.formatting[i] = FormatEntry::Element { node: new, tag };
+            let new = self.recreate(i, src_offset);
+            self.place_element(new, &name, foster);
             i += 1;
         }
     }
@@ -145,7 +160,7 @@ impl Builder {
             // Find the formatting element: last entry for subject before a
             // marker.
             let fmt_idx = self.formatting.iter().rposition(|e| match e {
-                FormatEntry::Element { tag, .. } => tag.name == *subject,
+                FormatEntry::Element { name, .. } => name == subject,
                 FormatEntry::Marker => false,
             });
             let marker_after =
@@ -222,17 +237,7 @@ impl Builder {
                     continue;
                 };
                 // Re-create the element.
-                let tag = match &self.formatting[fmt_list_idx] {
-                    FormatEntry::Element { tag, .. } => tag.clone(),
-                    FormatEntry::Marker => unreachable!(),
-                };
-                let attrs: Vec<ElemAttr> = tag
-                    .attrs
-                    .iter()
-                    .map(|a| ElemAttr { name: a.name.clone(), value: a.value.clone() })
-                    .collect();
-                let new = self.doc.create_element(&tag.name, Namespace::Html, attrs);
-                self.formatting[fmt_list_idx] = FormatEntry::Element { node: new, tag };
+                let new = self.recreate(fmt_list_idx, 0);
                 self.open.replace(&self.doc, node_stack_idx, new);
                 node = new;
                 if last_node == furthest_block {
@@ -265,25 +270,15 @@ impl Builder {
 
             // New element: clone of the formatting element, adopting the
             // furthest block's children.
-            let tag = match &self.formatting[fmt_idx] {
-                FormatEntry::Element { tag, .. } => tag.clone(),
-                FormatEntry::Marker => unreachable!(),
-            };
-            let attrs: Vec<ElemAttr> = tag
-                .attrs
-                .iter()
-                .map(|a| ElemAttr { name: a.name.clone(), value: a.value.clone() })
-                .collect();
-            let new_fmt = self.doc.create_element(&tag.name, Namespace::Html, attrs);
+            let new_fmt = self.recreate(fmt_idx, 0);
             self.doc.reparent_children(furthest_block, new_fmt);
             self.doc.append(furthest_block, new_fmt);
 
-            // Update the formatting list: remove old entry, insert new at
-            // the bookmark.
-            self.formatting.remove(fmt_idx);
+            // Update the formatting list: move the entry to the bookmark.
+            let entry = self.formatting.remove(fmt_idx);
             let bookmark =
                 bookmark.min(self.formatting.len()).saturating_sub(usize::from(bookmark > fmt_idx));
-            self.formatting.insert(bookmark, FormatEntry::Element { node: new_fmt, tag });
+            self.formatting.insert(bookmark, entry);
 
             // Update the stack: remove old fmt element, insert new one right
             // below (after) the furthest block.
@@ -293,7 +288,7 @@ impl Builder {
 
             // Loop again in case more instances remain.
             let more = self.formatting.iter().any(|e| match e {
-                FormatEntry::Element { tag, .. } => tag.name == *subject,
+                FormatEntry::Element { name, .. } => name == subject,
                 FormatEntry::Marker => false,
             });
             if !more {

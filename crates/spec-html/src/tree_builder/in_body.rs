@@ -62,17 +62,19 @@ impl Builder {
                     let mut new_attrs = Vec::new();
                     let mut ignored = Vec::new();
                     if let Some(e) = self.doc.element_mut(body) {
+                        let mut merged = Vec::new();
                         for a in &tag.attrs {
                             if e.has_attr(&a.name) {
                                 ignored.push(a.name.to_string());
                             } else {
                                 new_attrs.push(a.name.to_string());
-                                e.attrs.push(ElemAttr {
+                                merged.push(ElemAttr {
                                     name: a.name.clone(),
                                     value: a.value.clone(),
                                 });
                             }
                         }
+                        e.attrs.extend(merged);
                     }
                     self.event(TreeEventKind::SecondBodyMerged {
                         new_attrs,
@@ -194,7 +196,7 @@ impl Builder {
                 // the adoption agency, then proceed.
                 let open_a = self.formatting.iter().rev().find_map(|e| match e {
                     super::FormatEntry::Marker => Some(None),
-                    super::FormatEntry::Element { node, tag } if tag.name == "a" => {
+                    super::FormatEntry::Element { node, name, .. } if *name == "a" => {
                         Some(Some(*node))
                     }
                     _ => None,
@@ -207,14 +209,14 @@ impl Builder {
                 }
                 self.reconstruct_formatting();
                 let id = self.insert_html(tag);
-                self.push_formatting(id, tag);
+                self.push_formatting(id);
                 Ctl::Done
             }
             "b" | "big" | "code" | "em" | "font" | "i" | "s" | "small" | "strike" | "strong"
             | "tt" | "u" => {
                 self.reconstruct_formatting();
                 let id = self.insert_html(tag);
-                self.push_formatting(id, tag);
+                self.push_formatting(id);
                 Ctl::Done
             }
             "nobr" => {
@@ -225,7 +227,7 @@ impl Builder {
                     self.reconstruct_formatting();
                 }
                 let id = self.insert_html(tag);
-                self.push_formatting(id, tag);
+                self.push_formatting(id);
                 Ctl::Done
             }
             "applet" | "marquee" | "object" => {

@@ -25,7 +25,7 @@ pub use events::{TreeEvent, TreeEventKind};
 pub use formatting::FormatEntry;
 
 use crate::atoms::{atom, Atom};
-use crate::dom::{Document, ElemAttr, Namespace, NodeData, NodeId};
+use crate::dom::{Attrs, Doctype, Document, ElemAttr, Namespace, NodeData, NodeId};
 use crate::errors::ParseError;
 use crate::tags;
 use crate::tokenizer::{self, Tag, Token, Tokenizer};
@@ -416,27 +416,33 @@ impl Builder {
     /// Insert an element for `tag` at the appropriate place and push it on
     /// the stack.
     pub(crate) fn insert_element(&mut self, tag: &Tag, ns: Namespace, foster: bool) -> NodeId {
-        let foster = foster || self.foster;
         let name = match ns {
             Namespace::Svg => tags::svg_tag_fixup_atom(&tag.name),
             _ => tag.name.clone(),
         };
-        let attrs = tag
+        let attrs: Attrs = tag
             .attrs
             .iter()
             .map(|a| ElemAttr { name: adjust_foreign_attr(ns, &a.name), value: a.value.clone() })
             .collect();
         let id = self.doc.create_element_at(name, ns, attrs, tag.offset);
+        self.place_element(id, &tag.name, foster);
+        id
+    }
+
+    /// Insert the detached element `id` at the appropriate place and push
+    /// it on the stack; `tag` names it in a foster-parenting event.
+    pub(crate) fn place_element(&mut self, id: NodeId, tag: &Atom, foster: bool) {
+        let foster = foster || self.foster;
         let (parent, before) = self.insertion_place(foster);
         if foster && before.is_some() {
-            self.event(TreeEventKind::FosterParented { tag: Some(tag.name.to_string()) });
+            self.event(TreeEventKind::FosterParented { tag: Some(tag.to_string()) });
         }
         match before {
             Some(b) => self.doc.insert_before(b, id),
             None => self.doc.append(parent, id),
         }
         self.open.push(&self.doc, id);
-        id
     }
 
     /// Insert an HTML element (normal path).
@@ -625,11 +631,11 @@ impl Builder {
             }
             Token::Doctype(d) => {
                 self.quirks = doctype_quirks(&d);
-                let node = NodeData::Doctype {
+                let node = NodeData::Doctype(Box::new(Doctype {
                     name: d.name.clone().unwrap_or_default(),
                     public_id: d.public_id.clone().unwrap_or_default(),
                     system_id: d.system_id.clone().unwrap_or_default(),
-                };
+                }));
                 let id = self.doc.create(node);
                 let root = self.doc.root();
                 self.doc.append(root, id);
@@ -671,7 +677,7 @@ impl Builder {
                     tag.attrs
                         .iter()
                         .map(|a| ElemAttr { name: a.name.clone(), value: a.value.clone() })
-                        .collect(),
+                        .collect::<Attrs>(),
                     tag.offset,
                 );
                 let root = self.doc.root();
@@ -1030,11 +1036,13 @@ impl Builder {
         self.event(TreeEventKind::SecondHtmlMerged);
         if let Some(html) = self.open.first() {
             if let Some(e) = self.doc.element_mut(html) {
-                for a in &tag.attrs {
-                    if !e.has_attr(&a.name) {
-                        e.attrs.push(ElemAttr { name: a.name.clone(), value: a.value.clone() });
-                    }
-                }
+                let new: Vec<ElemAttr> = tag
+                    .attrs
+                    .iter()
+                    .filter(|a| !e.has_attr(&a.name))
+                    .map(|a| ElemAttr { name: a.name.clone(), value: a.value.clone() })
+                    .collect();
+                e.attrs.extend(new);
             }
         }
     }

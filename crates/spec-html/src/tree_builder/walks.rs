@@ -236,7 +236,7 @@ fn assert_index_matches_walks(b: &Builder, input: &str) {
     assert_eq!(b.foreign_root_ns(), foreign_root_ns(b), "foreign root in {input:?}");
     assert_eq!(b.open.topmost(&atom!("table")), last_table(b), "last table in {input:?}");
     for id in 0..b.doc.len() {
-        let node = NodeId(id as u32);
+        let node = NodeId::from_index(id);
         assert_eq!(b.open.contains(node), contains(b, node), "on-stack {id} in {input:?}");
     }
 }

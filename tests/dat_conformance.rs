@@ -118,8 +118,8 @@ fn render_tree(dom: &spec_html::Dom) -> String {
 fn render_node(dom: &spec_html::Dom, id: NodeId, depth: usize, out: &mut String) {
     let indent = "  ".repeat(depth);
     match &dom.node(id).data {
-        NodeData::Doctype { name, .. } => {
-            out.push_str(&format!("| {indent}<!DOCTYPE {name}>\n"));
+        NodeData::Doctype(d) => {
+            out.push_str(&format!("| {indent}<!DOCTYPE {}>\n", d.name));
         }
         NodeData::Comment(c) => {
             out.push_str(&format!("| {indent}<!-- {c} -->\n"));
@@ -135,7 +135,7 @@ fn render_node(dom: &spec_html::Dom, id: NodeId, depth: usize, out: &mut String)
             };
             out.push_str(&format!("| {indent}<{name}>\n"));
             // Attributes sorted by name, one per line (suite convention).
-            let mut attrs = e.attrs.clone();
+            let mut attrs = e.attrs.to_vec();
             attrs.sort_by(|a, b| a.name.cmp(&b.name));
             for a in attrs {
                 out.push_str(&format!("| {indent}  {}=\"{}\"\n", a.name, a.value));
