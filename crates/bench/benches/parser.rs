@@ -48,12 +48,19 @@ fn bench_tree_builder(c: &mut Criterion) {
     // 128 KiB should cost 1x and 2x.
     let deep_64k = "<div>".repeat((64 << 10) / 5);
     let deep_128k = "<div>".repeat((128 << 10) / 5);
+    // Distinct formatting elements re-created in every paragraph: Θ(k²)
+    // elements by the spec, so 16k costs about 4x 8k. The end-to-end
+    // benchmark's formatting pair, n and 2n.
+    let formatting_8k = hv_bench::formatting_page(8_000);
+    let formatting_16k = hv_bench::formatting_page(16_000);
     for (name, input) in [
         ("nested_tables", &deep_tables),
         ("misnested_formatting", &misnested),
         ("unterminated_textarea", &unterminated),
         ("deep_nesting_64k", &deep_64k),
         ("deep_nesting_128k", &deep_128k),
+        ("formatting_8k", &formatting_8k),
+        ("formatting_16k", &formatting_16k),
     ] {
         g.bench_function(name, |b| {
             b.iter(|| black_box(spec_html::parse_document(black_box(input))).dom.len())

@@ -122,6 +122,21 @@ pub fn single_finding_page(n: usize) -> String {
     out
 }
 
+/// A page of `<i class=cN><p>x` units, each N distinct, about `bytes` long:
+/// the end-to-end benchmark's `formatting` family. Every paragraph must
+/// re-create each formatting element still open, so k units build Θ(k²)
+/// elements by the spec.
+pub fn formatting_page(bytes: usize) -> String {
+    use std::fmt::Write;
+    let mut out = String::from("<!DOCTYPE html><html><head><title>x</title></head><body>");
+    let mut i = 0usize;
+    while out.len() < bytes {
+        let _ = write!(out, "<i class=c{i}><p>x");
+        i += 1;
+    }
+    out
+}
+
 /// Total bytes in a page sample (for throughput reporting).
 pub fn total_bytes(pages: &[String]) -> u64 {
     pages.iter().map(|p| p.len() as u64).sum()

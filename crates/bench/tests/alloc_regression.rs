@@ -13,10 +13,11 @@
 //! count each other's allocations.
 
 use hv_bench::alloc::count_allocations;
-use hv_bench::{dense_violating_page, profile_page};
+use hv_bench::{dense_violating_page, formatting_page, profile_page};
 
 const DENSE_N: usize = 400;
 const PROFILE_BYTES: usize = 256 * 1024;
+const FORMATTING_BYTES: usize = 16_000;
 
 /// Measure steady-state allocs for one full parse of `page` (DOM build
 /// included). A warmup parse is discarded so one-time lazy init (atom
@@ -71,8 +72,23 @@ fn attribute_profiles_parse_allocs_within_ceiling() {
     }
 }
 
+/// The Θ(k²) formatting-reconstruction page (the end-to-end benchmark's
+/// 2n member): re-created elements share their start tag's attribute
+/// list, so the count tracks tokens, not the ~k²/2 elements built.
+#[test]
+fn formatting_page_parse_allocs_within_ceiling() {
+    let page = formatting_page(FORMATTING_BYTES);
+    let n = parse_allocs(&page);
+    eprintln!("formatting ({FORMATTING_BYTES} B): {n} allocs/parse");
+    assert!(
+        n <= FORMATTING_PARSE_CEILING,
+        "formatting parse allocs regressed: {n} > {FORMATTING_PARSE_CEILING}"
+    );
+}
+
 // Recorded ceilings (post-atom-interning measurement + ~15% headroom).
 const DENSE_PARSE_CEILING: u64 = 9_300; // measured 8,051 (was 53,274 pre-interning)
 const DENSE_BATTERY_CEILING: u64 = 19_900; // measured 17,263 (was 75,287)
 const ATTR_HEAVY_CEILING: u64 = 11_500; // measured 10,020 (was 103,196)
 const ATTR_SOUP_CEILING: u64 = 16_300; // measured 14,206 (was 134,712)
+const FORMATTING_PARSE_CEILING: u64 = 6_250; // measured 5,432 (was 801,095 unshared)
