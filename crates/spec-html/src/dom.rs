@@ -8,10 +8,13 @@
 //!
 //! A node is 72 bytes: four-byte links, a boxed doctype (rare, and large
 //! unboxed), and an element's attributes as one shared, immutable list
-//! ([`Attrs`]), so the elements that formatting reconstruction re-creates
-//! from one start tag cost no allocation.
+//! ([`Attrs`]). The tokenizer builds that list once per start tag and the
+//! element takes it as is, so neither the element nor the copies formatting
+//! reconstruction re-creates from the tag cost an allocation. Text nodes
+//! take the tokenizer's character runs the same way.
 
-use crate::atoms::{Atom, SharedStr};
+use crate::atoms::Atom;
+use crate::tokenizer::Attr;
 use std::fmt;
 use std::num::NonZeroU32;
 use std::ops::Deref;
@@ -66,21 +69,13 @@ impl fmt::Display for Namespace {
     }
 }
 
-/// An element's attribute (post-tokenization: name lowercased for HTML,
-/// value with character references decoded).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ElemAttr {
-    pub name: Atom,
-    pub value: SharedStr,
-}
-
-/// An element's attribute list: immutable, and shared by every element
-/// created from the same start tag (the list of active formatting elements
-/// keeps it to re-create them). An empty list allocates nothing. A writer
-/// builds a new list for the one element it changes, so the others keep
-/// theirs.
+/// A start tag's attribute list: immutable, and shared by the tag token,
+/// every element created from it (the list of active formatting elements
+/// keeps it to re-create them) and whoever else keeps the tag. An empty
+/// list allocates nothing. A writer builds a new list for the one element
+/// it changes, so the others keep theirs.
 #[derive(Debug, Clone, Default)]
-pub struct Attrs(Option<Arc<[ElemAttr]>>);
+pub struct Attrs(Option<Arc<[Attr]>>);
 
 impl Attrs {
     /// Whether `a` and `b` are the same shared list (two empty lists are).
@@ -92,9 +87,15 @@ impl Attrs {
         }
     }
 
+    /// Move the attributes out of `scratch` into a new list, leaving
+    /// `scratch` empty with its capacity for the next tag.
+    pub(crate) fn take_from(scratch: &mut Vec<Attr>) -> Attrs {
+        Attrs((!scratch.is_empty()).then(|| scratch.drain(..).collect()))
+    }
+
     /// Keep the attributes `keep` accepts, in a new list; a list that loses
     /// nothing stays shared.
-    pub fn retain(&mut self, mut keep: impl FnMut(&ElemAttr) -> bool) {
+    pub fn retain(&mut self, mut keep: impl FnMut(&Attr) -> bool) {
         let mut kept = self.to_vec();
         kept.retain(|a| keep(a));
         if kept.len() < self.len() {
@@ -104,36 +105,46 @@ impl Attrs {
 }
 
 impl Deref for Attrs {
-    type Target = [ElemAttr];
-    fn deref(&self) -> &[ElemAttr] {
+    type Target = [Attr];
+    fn deref(&self) -> &[Attr] {
         self.0.as_deref().unwrap_or_default()
     }
 }
 
 impl<'a> IntoIterator for &'a Attrs {
-    type Item = &'a ElemAttr;
-    type IntoIter = std::slice::Iter<'a, ElemAttr>;
+    type Item = &'a Attr;
+    type IntoIter = std::slice::Iter<'a, Attr>;
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
 }
 
-impl FromIterator<ElemAttr> for Attrs {
-    fn from_iter<I: IntoIterator<Item = ElemAttr>>(iter: I) -> Attrs {
+/// Attribute by attribute, as [`Attr`]'s `==` compares them (offsets
+/// included).
+impl PartialEq for Attrs {
+    fn eq(&self, other: &Attrs) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Attrs {}
+
+impl FromIterator<Attr> for Attrs {
+    fn from_iter<I: IntoIterator<Item = Attr>>(iter: I) -> Attrs {
         let mut iter = iter.into_iter().peekable();
         Attrs(iter.peek().is_some().then(|| iter.collect()))
     }
 }
 
-impl From<Vec<ElemAttr>> for Attrs {
-    fn from(list: Vec<ElemAttr>) -> Attrs {
+impl From<Vec<Attr>> for Attrs {
+    fn from(list: Vec<Attr>) -> Attrs {
         Attrs((!list.is_empty()).then(|| list.into()))
     }
 }
 
 /// Appends, in a new list; appending nothing keeps the list shared.
-impl Extend<ElemAttr> for Attrs {
-    fn extend<I: IntoIterator<Item = ElemAttr>>(&mut self, iter: I) {
+impl Extend<Attr> for Attrs {
+    fn extend<I: IntoIterator<Item = Attr>>(&mut self, iter: I) {
         let mut more = iter.into_iter().peekable();
         if more.peek().is_some() {
             *self = self.iter().cloned().chain(more).collect();
@@ -367,28 +378,28 @@ impl Document {
     }
 
     /// Append text, merging into a trailing text node if present (the spec's
-    /// "insert a character" behaviour).
-    pub fn append_text(&mut self, parent: NodeId, text: &str) {
+    /// "insert a character" behaviour). A new text node owns `text`.
+    pub fn append_text(&mut self, parent: NodeId, text: String) {
         if let Some(last) = self.node(parent).last_child {
             if let NodeData::Text(s) = &mut self.node_mut(last).data {
-                s.push_str(text);
+                s.push_str(&text);
                 return;
             }
         }
-        let t = self.create(NodeData::Text(text.to_owned()));
+        let t = self.create(NodeData::Text(text));
         self.append(parent, t);
     }
 
     /// Insert text immediately before `sibling`, merging with the previous
     /// text node when possible (used by foster parenting).
-    pub fn insert_text_before(&mut self, sibling: NodeId, text: &str) {
+    pub fn insert_text_before(&mut self, sibling: NodeId, text: String) {
         if let Some(prev) = self.node(sibling).prev_sibling {
             if let NodeData::Text(s) = &mut self.node_mut(prev).data {
-                s.push_str(text);
+                s.push_str(&text);
                 return;
             }
         }
-        let t = self.create(NodeData::Text(text.to_owned()));
+        let t = self.create(NodeData::Text(text));
         self.insert_before(sibling, t);
     }
 
@@ -644,8 +655,8 @@ mod tests {
     fn append_text_merges() {
         let mut d = Document::new();
         let root = d.root();
-        d.append_text(root, "foo");
-        d.append_text(root, "bar");
+        d.append_text(root, "foo".into());
+        d.append_text(root, "bar".into());
         assert_eq!(d.children(root).count(), 1);
         assert_eq!(d.text_content(root), "foobar");
     }

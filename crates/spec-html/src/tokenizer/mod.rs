@@ -13,6 +13,7 @@ mod token;
 pub use token::{Attr, Doctype, Tag, Token};
 
 use crate::atoms::{Atom, Interner, SharedStr};
+use crate::dom::Attrs;
 use crate::entities;
 use crate::errors::{ErrorCode, ParseError};
 use crate::preprocess::InputStream;
@@ -160,6 +161,8 @@ pub struct Tokenizer<'a> {
     tag_kind: TagKind,
     tag_name: String,
     tag_self_closing: bool,
+    /// Scratch for the current tag's attributes: emitting the tag moves
+    /// them into its shared [`Attrs`] and keeps the capacity.
     tag_attrs: Vec<Attr>,
     tag_dup_attrs: Vec<Attr>,
     tag_offset: usize,
@@ -430,12 +433,6 @@ impl<'a> Tokenizer<'a> {
         if self.cur_attr.duplicate {
             self.tag_dup_attrs.push(attr);
         } else {
-            // The attrs Vec is handed off with the tag (capacity 0 on the
-            // next tag), so skip the 1→2→4→8 realloc ladder up front.
-            // Tags without attributes never reach here and stay alloc-free.
-            if self.tag_attrs.capacity() == 0 {
-                self.tag_attrs.reserve(8);
-            }
             self.tag_attrs.push(attr);
         }
     }
@@ -463,7 +460,7 @@ impl<'a> Tokenizer<'a> {
         let tag = Tag {
             name,
             self_closing: self.tag_self_closing,
-            attrs: std::mem::take(&mut self.tag_attrs),
+            attrs: Attrs::take_from(&mut self.tag_attrs),
             duplicate_attrs: std::mem::take(&mut self.tag_dup_attrs),
             offset: self.tag_offset,
         };

@@ -1,11 +1,13 @@
 //! Token types emitted by the tokenizer.
 
 use crate::atoms::{Atom, SharedStr};
+use crate::dom::Attrs;
 
-/// An attribute on a start (or, erroneously, end) tag.
+/// An attribute on a start (or, erroneously, end) tag, and on the elements
+/// created from it.
 ///
 /// Names are interned [`Atom`]s and values are [`SharedStr`]s, so cloning
-/// an attribute (into the DOM, the formatting list, …) never copies text.
+/// an attribute never copies text.
 #[derive(Debug, Clone, Eq)]
 pub struct Attr {
     /// Lowercased attribute name.
@@ -87,7 +89,9 @@ pub struct Tag {
     /// Whether the tag used self-closing syntax (`/>`).
     pub self_closing: bool,
     /// Attributes in source order, with spec-mandated duplicates removed.
-    pub attrs: Vec<Attr>,
+    /// The list is shared: cloning the tag, or creating elements from it,
+    /// copies no attribute.
+    pub attrs: Attrs,
     /// Attributes the spec dropped due to `duplicate-attribute` errors —
     /// preserved because the paper's DM3 analysis inspects them.
     pub duplicate_attrs: Vec<Attr>,

@@ -89,17 +89,18 @@ impl Builder {
     /// §13.2.6.5 "The rules for parsing tokens in foreign content".
     pub(crate) fn foreign_content(&mut self, token: Token, tok: &mut Tokenizer<'_>) -> Ctl {
         match token {
-            Token::Characters(s) => {
-                let cleaned: String =
-                    s.chars().map(|c| if c == '\0' { '\u{FFFD}' } else { c }).collect();
-                if cleaned.chars().any(|c| !super::is_html_whitespace(c)) {
+            Token::Characters(mut s) => {
+                if s.contains('\0') {
+                    s = s.replace('\0', "\u{FFFD}");
+                }
+                if s.chars().any(|c| !super::is_html_whitespace(c)) {
                     self.frameset_ok = false;
                 }
-                self.insert_chars(&cleaned, false);
+                self.insert_chars(s, false);
                 Ctl::Done
             }
             Token::Comment(c) => {
-                self.insert_comment(&c);
+                self.insert_comment(c);
                 Ctl::Done
             }
             Token::Doctype(_) => {

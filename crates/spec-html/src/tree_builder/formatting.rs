@@ -8,7 +8,8 @@
 
 use super::{Builder, Class, TreeEventKind};
 use crate::atoms::{atom, Atom};
-use crate::dom::{Attrs, ElemAttr, Namespace, NodeId};
+use crate::dom::{Attrs, Namespace, NodeId};
+use crate::tokenizer::Attr;
 
 /// An entry in the list of active formatting elements.
 #[derive(Debug, Clone)]
@@ -23,8 +24,9 @@ pub enum FormatEntry {
 
 /// Whether two formatting elements were created with the same attributes:
 /// §13.2.4.3 pairs attributes by name and value, in any order. (Names are
-/// unique within a tag; the tokenizer drops duplicates.)
-fn same_attrs(a: &[ElemAttr], b: &[ElemAttr]) -> bool {
+/// unique within a tag; the tokenizer drops duplicates.) Not `Attr`'s `==`,
+/// which also compares source offsets.
+fn same_attrs(a: &[Attr], b: &[Attr]) -> bool {
     a.len() == b.len() && a.iter().all(|x| b.iter().any(|y| y.name == x.name && y.value == x.value))
 }
 

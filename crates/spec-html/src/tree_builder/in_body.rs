@@ -6,7 +6,7 @@
 
 use super::{is_html_whitespace, Builder, Class, Ctl, InsertionMode, TreeEventKind};
 use crate::atoms::{atom, Atom};
-use crate::dom::{ElemAttr, Namespace};
+use crate::dom::Namespace;
 use crate::tags;
 use crate::tokenizer::{self, Tag, Token, Tokenizer};
 
@@ -14,26 +14,24 @@ impl Builder {
     #[allow(clippy::too_many_lines)]
     pub(crate) fn in_body(&mut self, token: Token, tok: &mut Tokenizer<'_>) -> Ctl {
         match token {
-            Token::Characters(s) => {
+            Token::Characters(mut s) => {
                 // NULs were already reported by the tokenizer; in body they
-                // are dropped. The common case has none — avoid the copy.
-                let cleaned: std::borrow::Cow<'_, str> = if s.contains('\0') {
-                    std::borrow::Cow::Owned(s.chars().filter(|&c| c != '\0').collect())
-                } else {
-                    std::borrow::Cow::Borrowed(&s)
-                };
-                if cleaned.is_empty() {
+                // are dropped.
+                if s.contains('\0') {
+                    s.retain(|c| c != '\0');
+                }
+                if s.is_empty() {
                     return Ctl::Done;
                 }
-                self.reconstruct_formatting();
-                self.insert_chars(&cleaned, false);
-                if cleaned.chars().any(|c| !is_html_whitespace(c)) {
+                if s.chars().any(|c| !is_html_whitespace(c)) {
                     self.frameset_ok = false;
                 }
+                self.reconstruct_formatting();
+                self.insert_chars(s, false);
                 Ctl::Done
             }
             Token::Comment(c) => {
-                self.insert_comment(&c);
+                self.insert_comment(c);
                 Ctl::Done
             }
             Token::Doctype(_) => {
@@ -68,10 +66,7 @@ impl Builder {
                                 ignored.push(a.name.to_string());
                             } else {
                                 new_attrs.push(a.name.to_string());
-                                merged.push(ElemAttr {
-                                    name: a.name.clone(),
-                                    value: a.value.clone(),
-                                });
+                                merged.push(a.clone());
                             }
                         }
                         e.attrs.extend(merged);

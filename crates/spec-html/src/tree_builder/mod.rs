@@ -25,7 +25,7 @@ pub use events::{TreeEvent, TreeEventKind};
 pub use formatting::FormatEntry;
 
 use crate::atoms::{atom, Atom};
-use crate::dom::{Attrs, Doctype, Document, ElemAttr, Namespace, NodeData, NodeId};
+use crate::dom::{Attrs, Doctype, Document, Namespace, NodeData, NodeId};
 use crate::errors::ParseError;
 use crate::tags;
 use crate::tokenizer::{self, Tag, Token, Tokenizer};
@@ -277,12 +277,14 @@ impl Builder {
         let token = if self.ignore_lf {
             self.ignore_lf = false;
             match token {
-                Token::Characters(s) => {
-                    let stripped = s.strip_prefix('\n').map(str::to_owned).unwrap_or(s);
-                    if stripped.is_empty() {
+                Token::Characters(mut s) => {
+                    if s.starts_with('\n') {
+                        s.remove(0);
+                    }
+                    if s.is_empty() {
                         return false;
                     }
-                    Token::Characters(stripped)
+                    Token::Characters(s)
                 }
                 other => other,
             }
@@ -414,17 +416,27 @@ impl Builder {
     }
 
     /// Insert an element for `tag` at the appropriate place and push it on
-    /// the stack.
+    /// the stack. The element shares the tag's attribute list unless a
+    /// foreign attribute adjustment renames one.
     pub(crate) fn insert_element(&mut self, tag: &Tag, ns: Namespace, foster: bool) -> NodeId {
         let name = match ns {
             Namespace::Svg => tags::svg_tag_fixup_atom(&tag.name),
             _ => tag.name.clone(),
         };
-        let attrs: Attrs = tag
-            .attrs
-            .iter()
-            .map(|a| ElemAttr { name: adjust_foreign_attr(ns, &a.name), value: a.value.clone() })
-            .collect();
+        let renames = ns != Namespace::Html
+            && tag.attrs.iter().any(|a| adjust_foreign_attr(ns, &a.name) != a.name);
+        let attrs: Attrs = if renames {
+            tag.attrs
+                .iter()
+                .map(|a| {
+                    let mut a = a.clone();
+                    a.name = adjust_foreign_attr(ns, &a.name);
+                    a
+                })
+                .collect()
+        } else {
+            tag.attrs.clone()
+        };
         let id = self.doc.create_element_at(name, ns, attrs, tag.offset);
         self.place_element(id, &tag.name, foster);
         id
@@ -468,7 +480,7 @@ impl Builder {
 
     /// Insert character data at the appropriate place (honouring foster
     /// parenting when in table structure).
-    pub(crate) fn insert_chars(&mut self, text: &str, foster: bool) {
+    pub(crate) fn insert_chars(&mut self, text: String, foster: bool) {
         let foster = foster || self.foster;
         if text.is_empty() {
             return;
@@ -483,17 +495,17 @@ impl Builder {
         }
     }
 
-    pub(crate) fn insert_comment(&mut self, text: &str) {
+    pub(crate) fn insert_comment(&mut self, text: String) {
         let (parent, before) = self.insertion_place(false);
-        let id = self.doc.create(NodeData::Comment(text.to_owned()));
+        let id = self.doc.create(NodeData::Comment(text));
         match before {
             Some(b) => self.doc.insert_before(b, id),
             None => self.doc.append(parent, id),
         }
     }
 
-    fn insert_comment_on(&mut self, parent: NodeId, text: &str) {
-        let id = self.doc.create(NodeData::Comment(text.to_owned()));
+    fn insert_comment_on(&mut self, parent: NodeId, text: String) {
+        let id = self.doc.create(NodeData::Comment(text));
         self.doc.append(parent, id);
     }
 
@@ -614,19 +626,19 @@ impl Builder {
 
     fn initial(&mut self, token: Token) -> Ctl {
         match token {
-            Token::Characters(s) => {
-                let rest = skip_leading_whitespace(&s);
-                if rest.is_empty() {
+            Token::Characters(mut s) => {
+                skip_leading_whitespace(&mut s);
+                if s.is_empty() {
                     return Ctl::Done;
                 }
                 self.event(TreeEventKind::MissingDoctype);
                 self.quirks = QuirksMode::Quirks;
                 self.mode = InsertionMode::BeforeHtml;
-                Ctl::Reprocess(Token::Characters(rest.to_owned()))
+                Ctl::Reprocess(Token::Characters(s))
             }
             Token::Comment(c) => {
                 let root = self.doc.root();
-                self.insert_comment_on(root, &c);
+                self.insert_comment_on(root, c);
                 Ctl::Done
             }
             Token::Doctype(d) => {
@@ -659,25 +671,22 @@ impl Builder {
             }
             Token::Comment(c) => {
                 let root = self.doc.root();
-                self.insert_comment_on(root, &c);
+                self.insert_comment_on(root, c);
                 Ctl::Done
             }
-            Token::Characters(s) => {
-                let rest = skip_leading_whitespace(&s);
-                if rest.is_empty() {
+            Token::Characters(mut s) => {
+                skip_leading_whitespace(&mut s);
+                if s.is_empty() {
                     return Ctl::Done;
                 }
                 self.create_html_implied();
-                Ctl::Reprocess(Token::Characters(rest.to_owned()))
+                Ctl::Reprocess(Token::Characters(s))
             }
             Token::StartTag(ref tag) if tag.name == "html" => {
                 let id = self.doc.create_element_at(
                     "html",
                     Namespace::Html,
-                    tag.attrs
-                        .iter()
-                        .map(|a| ElemAttr { name: a.name.clone(), value: a.value.clone() })
-                        .collect::<Attrs>(),
+                    tag.attrs.clone(),
                     tag.offset,
                 );
                 let root = self.doc.root();
@@ -710,16 +719,16 @@ impl Builder {
 
     fn before_head(&mut self, token: Token) -> Ctl {
         match token {
-            Token::Characters(s) => {
-                let rest = skip_leading_whitespace(&s);
-                if rest.is_empty() {
+            Token::Characters(mut s) => {
+                skip_leading_whitespace(&mut s);
+                if s.is_empty() {
                     return Ctl::Done;
                 }
                 self.create_head_implied();
-                Ctl::Reprocess(Token::Characters(rest.to_owned()))
+                Ctl::Reprocess(Token::Characters(s))
             }
             Token::Comment(c) => {
-                self.insert_comment(&c);
+                self.insert_comment(c);
                 Ctl::Done
             }
             Token::Doctype(_) => {
@@ -760,19 +769,17 @@ impl Builder {
 
     fn in_head(&mut self, token: Token, tok: &mut Tokenizer<'_>) -> Ctl {
         match token {
-            Token::Characters(s) => {
-                let (ws, rest) = split_leading_whitespace(&s);
-                if !ws.is_empty() {
-                    self.insert_chars(ws, false);
-                }
-                if rest.is_empty() {
+            Token::Characters(mut s) => {
+                let ws = split_off_leading_whitespace(&mut s);
+                self.insert_chars(ws, false);
+                if s.is_empty() {
                     return Ctl::Done;
                 }
-                self.close_head_for(&describe_chars(rest));
-                Ctl::Reprocess(Token::Characters(rest.to_owned()))
+                self.close_head_for(&describe_chars(&s));
+                Ctl::Reprocess(Token::Characters(s))
             }
             Token::Comment(c) => {
-                self.insert_comment(&c);
+                self.insert_comment(c);
                 Ctl::Done
             }
             Token::Doctype(_) => {
@@ -887,11 +894,11 @@ impl Builder {
                 self.mode = InsertionMode::InHead;
                 Ctl::Done
             }
-            Token::Characters(ref s) if s.chars().all(is_html_whitespace) => {
+            Token::Characters(s) if s.chars().all(is_html_whitespace) => {
                 self.insert_chars(s, false);
                 Ctl::Done
             }
-            Token::Comment(ref c) => {
+            Token::Comment(c) => {
                 self.insert_comment(c);
                 Ctl::Done
             }
@@ -923,19 +930,17 @@ impl Builder {
 
     fn after_head(&mut self, token: Token, tok: &mut Tokenizer<'_>) -> Ctl {
         match token {
-            Token::Characters(s) => {
-                let (ws, rest) = split_leading_whitespace(&s);
-                if !ws.is_empty() {
-                    self.insert_chars(ws, false);
-                }
-                if rest.is_empty() {
+            Token::Characters(mut s) => {
+                let ws = split_off_leading_whitespace(&mut s);
+                self.insert_chars(ws, false);
+                if s.is_empty() {
                     return Ctl::Done;
                 }
-                self.create_body_implied(&describe_chars(rest));
-                Ctl::Reprocess(Token::Characters(rest.to_owned()))
+                self.create_body_implied(&describe_chars(&s));
+                Ctl::Reprocess(Token::Characters(s))
             }
             Token::Comment(c) => {
-                self.insert_comment(&c);
+                self.insert_comment(c);
                 Ctl::Done
             }
             Token::Doctype(_) => {
@@ -1036,12 +1041,8 @@ impl Builder {
         self.event(TreeEventKind::SecondHtmlMerged);
         if let Some(html) = self.open.first() {
             if let Some(e) = self.doc.element_mut(html) {
-                let new: Vec<ElemAttr> = tag
-                    .attrs
-                    .iter()
-                    .filter(|a| !e.has_attr(&a.name))
-                    .map(|a| ElemAttr { name: a.name.clone(), value: a.value.clone() })
-                    .collect();
+                let new: Vec<_> =
+                    tag.attrs.iter().filter(|a| !e.has_attr(&a.name)).cloned().collect();
                 e.attrs.extend(new);
             }
         }
@@ -1052,7 +1053,7 @@ impl Builder {
     fn text(&mut self, token: Token) -> Ctl {
         match token {
             Token::Characters(s) => {
-                self.insert_chars(&s, false);
+                self.insert_chars(s, false);
                 Ctl::Done
             }
             Token::EndTag(_) => {
@@ -1083,7 +1084,7 @@ impl Builder {
             Token::Comment(c) => {
                 // Comment goes on the html element.
                 if let Some(html) = self.open.first() {
-                    self.insert_comment_on(html, &c);
+                    self.insert_comment_on(html, c);
                 }
                 Ctl::Done
             }
@@ -1112,7 +1113,7 @@ impl Builder {
         match token {
             Token::Comment(c) => {
                 let root = self.doc.root();
-                self.insert_comment_on(root, &c);
+                self.insert_comment_on(root, c);
                 Ctl::Done
             }
             Token::Doctype(_) => self.in_body(token, tok),
@@ -1132,15 +1133,13 @@ impl Builder {
 
     fn in_frameset(&mut self, token: Token, tok: &mut Tokenizer<'_>) -> Ctl {
         match token {
-            Token::Characters(ref s) => {
-                let ws: String = s.chars().filter(|c| is_html_whitespace(*c)).collect();
-                if !ws.is_empty() {
-                    self.insert_chars(&ws, false);
-                }
+            Token::Characters(mut s) => {
+                s.retain(is_html_whitespace);
+                self.insert_chars(s, false);
                 Ctl::Done
             }
             Token::Comment(c) => {
-                self.insert_comment(&c);
+                self.insert_comment(c);
                 Ctl::Done
             }
             Token::StartTag(ref tag) => match tag.name.as_str() {
@@ -1192,7 +1191,7 @@ impl Builder {
             Token::StartTag(ref tag) if tag.name == "noframes" => self.in_head(token.clone(), tok),
             Token::Eof => self.stop_parsing(),
             Token::Comment(c) => {
-                self.insert_comment(&c);
+                self.insert_comment(c);
                 Ctl::Done
             }
             _ => Ctl::Done,
@@ -1203,7 +1202,7 @@ impl Builder {
         match token {
             Token::Comment(c) => {
                 let root = self.doc.root();
-                self.insert_comment_on(root, &c);
+                self.insert_comment_on(root, c);
                 Ctl::Done
             }
             Token::StartTag(ref tag) if tag.name == "noframes" => self.in_head(token.clone(), tok),
@@ -1219,14 +1218,26 @@ pub(crate) fn is_html_whitespace(c: char) -> bool {
     matches!(c, '\t' | '\n' | '\u{C}' | '\r' | ' ')
 }
 
-fn skip_leading_whitespace(s: &str) -> &str {
-    s.trim_start_matches(is_html_whitespace)
+fn leading_whitespace_len(s: &str) -> usize {
+    s.len() - s.trim_start_matches(is_html_whitespace).len()
 }
 
-fn split_leading_whitespace(s: &str) -> (&str, &str) {
-    let rest = s.trim_start_matches(is_html_whitespace);
-    let ws_len = s.len() - rest.len();
-    (&s[..ws_len], rest)
+/// Drop the leading HTML whitespace of `s`, in place.
+fn skip_leading_whitespace(s: &mut String) {
+    s.drain(..leading_whitespace_len(s));
+}
+
+/// Split the leading HTML whitespace off `s` and return it; `s` keeps the
+/// rest. Only a run with both parts non-empty allocates (for the rest).
+pub(crate) fn split_off_leading_whitespace(s: &mut String) -> String {
+    match leading_whitespace_len(s) {
+        0 => String::new(),
+        n if n == s.len() => std::mem::take(s),
+        n => {
+            let rest = s.split_off(n);
+            std::mem::replace(s, rest)
+        }
+    }
 }
 
 fn describe_chars(s: &str) -> String {

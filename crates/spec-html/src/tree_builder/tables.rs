@@ -6,7 +6,9 @@
 //! which visibly "works" and so goes unnoticed by developers, while enabling
 //! mXSS reordering attacks (Figure 1's `<table>` hop).
 
-use super::{is_html_whitespace, Builder, Ctl, InsertionMode, TreeEventKind};
+use super::{
+    is_html_whitespace, split_off_leading_whitespace, Builder, Ctl, InsertionMode, TreeEventKind,
+};
 use crate::atoms::{atom, Atom};
 use crate::tokenizer::{Tag, Token, Tokenizer};
 
@@ -25,7 +27,7 @@ impl Builder {
                 Ctl::Reprocess(token)
             }
             Token::Comment(c) => {
-                self.insert_comment(&c);
+                self.insert_comment(c);
                 Ctl::Done
             }
             Token::Doctype(_) => {
@@ -140,9 +142,13 @@ impl Builder {
 
     pub(crate) fn in_table_text(&mut self, token: Token) -> Ctl {
         match token {
-            Token::Characters(s) => {
-                let cleaned: String = s.chars().filter(|&c| c != '\0').collect();
-                self.pending_table_text.push_str(&cleaned);
+            Token::Characters(mut s) => {
+                s.retain(|c| c != '\0');
+                if self.pending_table_text.is_empty() {
+                    self.pending_table_text = s;
+                } else {
+                    self.pending_table_text.push_str(&s);
+                }
                 Ctl::Done
             }
             other => {
@@ -150,10 +156,10 @@ impl Builder {
                 if text.chars().any(|c| !is_html_whitespace(c)) {
                     // Non-whitespace in a table: foster-parent it.
                     self.reconstruct_formatting();
-                    self.insert_chars(&text, true);
+                    self.insert_chars(text, true);
                     self.frameset_ok = false;
-                } else if !text.is_empty() {
-                    self.insert_chars(&text, false);
+                } else {
+                    self.insert_chars(text, false);
                 }
                 self.mode = self.orig_mode;
                 Ctl::Reprocess(other)
@@ -231,22 +237,16 @@ impl Builder {
 
     pub(crate) fn in_column_group(&mut self, token: Token, tok: &mut Tokenizer<'_>) -> Ctl {
         match token {
-            Token::Characters(ref s) => {
-                let (ws, rest) = {
-                    let rest = s.trim_start_matches(is_html_whitespace);
-                    let ws_len = s.len() - rest.len();
-                    (&s[..ws_len], rest)
-                };
-                if !ws.is_empty() {
-                    self.insert_chars(ws, false);
-                }
-                if rest.is_empty() {
+            Token::Characters(mut s) => {
+                let ws = split_off_leading_whitespace(&mut s);
+                self.insert_chars(ws, false);
+                if s.is_empty() {
                     return Ctl::Done;
                 }
-                self.column_group_anything_else(Token::Characters(rest.to_owned()))
+                self.column_group_anything_else(Token::Characters(s))
             }
             Token::Comment(c) => {
-                self.insert_comment(&c);
+                self.insert_comment(c);
                 Ctl::Done
             }
             Token::Doctype(_) => {
@@ -501,13 +501,13 @@ impl Builder {
 
     pub(crate) fn in_select(&mut self, token: Token, tok: &mut Tokenizer<'_>) -> Ctl {
         match token {
-            Token::Characters(s) => {
-                let cleaned: String = s.chars().filter(|&c| c != '\0').collect();
-                self.insert_chars(&cleaned, false);
+            Token::Characters(mut s) => {
+                s.retain(|c| c != '\0');
+                self.insert_chars(s, false);
                 Ctl::Done
             }
             Token::Comment(c) => {
-                self.insert_comment(&c);
+                self.insert_comment(c);
                 Ctl::Done
             }
             Token::Doctype(_) => {

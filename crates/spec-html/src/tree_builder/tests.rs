@@ -129,7 +129,7 @@ fn recreated_formatting_elements_share_their_attribute_list() {
     let mut out = parse_doc("<p><b class=x>1<p>2<p>3");
     let bs: Vec<NodeId> = out.dom.all_elements().filter(|&id| out.dom.is_html(id, "b")).collect();
     assert_eq!(bs.len(), 3);
-    let id = ElemAttr { name: Atom::from_name("id"), value: "z".into() };
+    let id = crate::tokenizer::Attr::new("id", "z");
     out.dom.element_mut(bs[1]).unwrap().attrs.extend([id]);
     out.dom.element_mut(bs[2]).unwrap().attrs.retain(|a| a.name != "class");
     let (first, second) = (out.dom.element(bs[0]).unwrap(), out.dom.element(bs[1]).unwrap());
@@ -139,6 +139,26 @@ fn recreated_formatting_elements_share_their_attribute_list() {
         crate::serializer::serialize_children(&out.dom, body),
         r#"<p><b class="x">1</b></p><p><b class="x" id="z">2</b></p><p><b>3</b></p>"#
     );
+}
+
+#[test]
+fn elements_share_their_start_tag_attribute_list() {
+    // An element takes its tag's list as is, unless a foreign attribute
+    // adjustment renames one of its attributes.
+    let input = "<div id=a><svg class=b><rect viewbox=c /></svg>";
+    let mut tags = Vec::new();
+    let out = parse_with_sink(input, &mut |tag| tags.push(tag.clone()));
+    assert_eq!(tags.len(), 3);
+    for (tag, shared) in tags.iter().zip([true, true, false]) {
+        let element = out
+            .dom
+            .all_elements()
+            .find_map(|id| out.dom.element(id).filter(|e| e.name == tag.name));
+        let element = element.unwrap();
+        assert_eq!(Attrs::ptr_eq(&tag.attrs, &element.attrs), shared, "<{}>", tag.name);
+    }
+    let rect = out.dom.all_elements().last().unwrap();
+    assert_eq!(out.dom.element(rect).unwrap().attr("viewBox"), Some("c"));
 }
 
 // ----- head / body events (HF1, HF2, HF3) -----

@@ -322,7 +322,7 @@ mod dom_arena_ops {
                     Op::AppendText { parent } => {
                         let p = ids[parent % ids.len()];
                         if !matches!(doc.node(p).data, NodeData::Text(_)) {
-                            doc.append_text(p, "t");
+                            doc.append_text(p, "t".into());
                         }
                     }
                 }
