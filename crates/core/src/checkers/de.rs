@@ -115,7 +115,7 @@ impl Check for De3_2 {
 
     fn on_start_tag(&mut self, _cx: &CheckContext<'_>, tag: &Tag, out: &mut Vec<Finding>) {
         for attr in &tag.attrs {
-            if attr.value.to_ascii_lowercase().contains("<script") {
+            if super::contains_ascii_ci(&attr.value, "<script") {
                 out.push(Finding::new(
                     ViolationKind::DE3_2,
                     tag.offset,

@@ -4,9 +4,27 @@ use super::{Check, Interest};
 use crate::context::CheckContext;
 use crate::report::Finding;
 use crate::taxonomy::ViolationKind;
-use spec_html::dom::NodeId;
+use spec_html::dom::{Element, NodeId};
 use spec_html::errors::ParseError;
-use spec_html::{tags, ErrorCode};
+use spec_html::{tags, Atom, ErrorCode, Namespace};
+
+// The DOM rules visit every element, so they compare names as static atoms
+// (an integer compare) rather than as strings.
+const BASE: Atom = Atom::known("base");
+const HEAD: Atom = Atom::known("head");
+const HTML: Atom = Atom::known("html");
+const HTTP_EQUIV: Atom = Atom::known("http-equiv");
+const META: Atom = Atom::known("meta");
+
+/// Whether `e` is the HTML-namespace element `name`.
+fn is_html(e: &Element, name: &Atom) -> bool {
+    e.ns == Namespace::Html && e.name == *name
+}
+
+/// Element `id`, if it is the HTML-namespace element `name`.
+fn html_element<'d>(cx: &'d CheckContext<'_>, id: NodeId, name: &Atom) -> Option<&'d Element> {
+    cx.parse.dom.element(id).filter(|e| is_html(e, name))
+}
 
 /// DM1 — `meta[http-equiv]` outside `head`.
 ///
@@ -27,17 +45,13 @@ impl Check for Dm1 {
     }
 
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {
-        let dom = &cx.parse.dom;
-        if dom.is_html(id, "meta")
-            && dom.element(id).is_some_and(|e| e.has_attr("http-equiv"))
-            && !cx.inside_head(id)
-        {
-            let what =
-                dom.element(id).and_then(|e| e.attr("http-equiv")).unwrap_or_default().to_owned();
+        let Some(e) = html_element(cx, id, &META) else { return };
+        let Some(what) = e.attrs.iter().find(|a| a.name == HTTP_EQUIV) else { return };
+        if !cx.inside_head(id) {
             out.push(Finding::new(
                 ViolationKind::DM1,
-                dom.element(id).map(|e| e.src_offset).unwrap_or(0),
-                format!("meta http-equiv=\"{what}\" outside head"),
+                e.src_offset,
+                format!("meta http-equiv=\"{}\" outside head", what.value),
             ));
         }
     }
@@ -57,10 +71,9 @@ impl Check for Dm2_1 {
     }
 
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {
-        let dom = &cx.parse.dom;
-        if dom.is_html(id, "base") && !cx.inside_head(id) {
-            let off = dom.element(id).map(|e| e.src_offset).unwrap_or(0);
-            out.push(Finding::new(ViolationKind::DM2_1, off, "base element outside head"));
+        let Some(e) = html_element(cx, id, &BASE) else { return };
+        if !cx.inside_head(id) {
+            out.push(Finding::new(ViolationKind::DM2_1, e.src_offset, "base element outside head"));
         }
     }
 }
@@ -86,7 +99,7 @@ impl Check for Dm2_2 {
     }
 
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, _out: &mut Vec<Finding>) {
-        if cx.parse.dom.is_html(id, "base") {
+        if html_element(cx, id, &BASE).is_some() {
             self.bases += 1;
         }
     }
@@ -108,7 +121,7 @@ impl Check for Dm2_2 {
 #[derive(Default)]
 pub struct Dm2_3 {
     /// Name of the first URL-using element seen on the DOM walk.
-    seen_url_element: Option<String>,
+    seen_url_element: Option<Atom>,
 }
 
 impl Check for Dm2_3 {
@@ -125,9 +138,8 @@ impl Check for Dm2_3 {
     }
 
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {
-        let dom = &cx.parse.dom;
-        let Some(e) = dom.element(id) else { return };
-        if dom.is_html(id, "base") {
+        let Some(e) = cx.parse.dom.element(id) else { return };
+        if is_html(e, &BASE) {
             if let Some(prev) = &self.seen_url_element {
                 out.push(Finding::new(
                     ViolationKind::DM2_3,
@@ -146,11 +158,11 @@ impl Check for Dm2_3 {
         // head element — it is base's own container, nothing inside it
         // can precede it, and no UA resolves a URL attribute on head.
         if self.seen_url_element.is_none()
-            && !dom.is_html(id, "html")
-            && !dom.is_html(id, "head")
-            && e.attrs.iter().any(|a| tags::is_url_attribute(&a.name))
+            && !is_html(e, &HTML)
+            && !is_html(e, &HEAD)
+            && e.attrs.iter().any(|a| tags::is_url_attribute_atom(&a.name))
         {
-            self.seen_url_element = Some(e.name.to_string());
+            self.seen_url_element = Some(e.name.clone());
         }
     }
 }

@@ -200,7 +200,8 @@ impl Check for Hf5_1 {
 
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {
         let Some(e) = cx.parse.dom.element(id) else { return };
-        if e.ns == Namespace::Html && (tags::is_svg_only(&e.name) || tags::is_mathml_only(&e.name))
+        if e.ns == Namespace::Html
+            && (tags::is_svg_only_atom(&e.name) || tags::is_mathml_only_atom(&e.name))
         {
             out.push(Finding::new(
                 ViolationKind::HF5_1,

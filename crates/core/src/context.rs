@@ -13,7 +13,8 @@ use std::cell::{Cell, OnceCell};
 /// Which start tags the checkers can ever act on: tags carrying at least
 /// one attribute (DE3_1/DE3_2/DE3_3 and the §4.5 mitigation flags inspect
 /// attribute values) plus every `<body>` tag (HF3 counts them). Everything
-/// else streams past without being cloned.
+/// else streams past without being kept. A kept tag shares its attribute
+/// list with the DOM, so keeping it copies no attribute.
 fn checker_relevant(tag: &Tag) -> bool {
     !tag.attrs.is_empty() || tag.name == "body"
 }

@@ -54,6 +54,8 @@ struct ClassSets {
     foreign_breakout: AtomSet,
     mathml_text_integration: AtomSet,
     svg_html_integration: AtomSet,
+    svg_only: AtomSet,
+    mathml_only: AtomSet,
     url_attribute: AtomSet,
     /// Static-id → static-id map for the SVG camelCase tag fixups (both
     /// spellings are in the table by construction).
@@ -86,6 +88,8 @@ fn sets() -> &'static ClassSets {
             foreign_breakout: AtomSet::build(is_foreign_breakout),
             mathml_text_integration: AtomSet::build(is_mathml_text_integration),
             svg_html_integration: AtomSet::build(is_svg_html_integration),
+            svg_only: AtomSet::build(is_svg_only),
+            mathml_only: AtomSet::build(is_mathml_only),
             url_attribute: AtomSet::build(is_url_attribute),
             svg_fixup,
         }
@@ -148,6 +152,14 @@ atom_predicate!(
 atom_predicate!(
     /// O(1) form of [`is_svg_html_integration`].
     is_svg_html_integration_atom, svg_html_integration, is_svg_html_integration
+);
+atom_predicate!(
+    /// O(1) form of [`is_svg_only`].
+    is_svg_only_atom, svg_only, is_svg_only
+);
+atom_predicate!(
+    /// O(1) form of [`is_mathml_only`].
+    is_mathml_only_atom, mathml_only, is_mathml_only
 );
 atom_predicate!(
     /// O(1) form of [`is_url_attribute`].

@@ -41,6 +41,8 @@ fn atom_predicates_match_string_predicates_on_every_known_name() {
             tags::is_svg_html_integration,
             "is_svg_html_integration",
         ),
+        (tags::is_svg_only_atom, tags::is_svg_only, "is_svg_only"),
+        (tags::is_mathml_only_atom, tags::is_mathml_only, "is_mathml_only"),
         (tags::is_url_attribute_atom, tags::is_url_attribute, "is_url_attribute"),
     ];
     let dynamic_names = ["x-custom-widget", "unknownelement", "data-unknown", "svg2"];
