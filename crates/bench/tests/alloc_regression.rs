@@ -1,9 +1,10 @@
-//! Allocation-regression guard: parsing and analyzing the dense fixture
-//! must stay under a recorded allocations-per-page ceiling.
+//! Allocation-regression guard: parsing and analyzing the fixtures and a
+//! sample of typical pages must stay under recorded allocations-per-page
+//! ceilings.
 //!
-//! The ceilings are the post-atom-interning measurements plus ~15%
-//! headroom; before interning, the same fixtures measured ~4-9x higher
-//! (see BENCH_parse.json / BENCH_battery.json "allocs" entries). If a
+//! The ceilings are the current measurements plus ~15% headroom; before
+//! atom interning, the fixtures measured ~10-20x higher (see
+//! BENCH_parse.json / BENCH_battery.json "allocs" entries). If a
 //! change pushes allocs/page back above a ceiling, this test fails and
 //! CI goes red — the point is to make allocation regressions as loud as
 //! throughput regressions.
@@ -13,9 +14,11 @@
 //! count each other's allocations.
 
 use hv_bench::alloc::count_allocations;
-use hv_bench::{dense_violating_page, formatting_page, profile_page};
+use hv_bench::{dense_violating_page, formatting_page, profile_page, sample_pages};
+use hv_core::CheckContext;
 
 const DENSE_N: usize = 400;
+const TYPICAL_PAGES: usize = 64;
 const PROFILE_BYTES: usize = 256 * 1024;
 const FORMATTING_BYTES: usize = 16_000;
 
@@ -44,8 +47,6 @@ fn dense_fixture_parse_allocs_within_ceiling() {
     let page = dense_violating_page(DENSE_N);
     let n = parse_allocs(&page);
     eprintln!("dense_violating({DENSE_N}): {n} allocs/parse");
-    // Post-interning measurement: see BENCH_parse.json. Pre-interning this
-    // fixture measured ~6x the ceiling.
     assert!(n <= DENSE_PARSE_CEILING, "dense parse allocs regressed: {n} > {DENSE_PARSE_CEILING}");
 }
 
@@ -86,9 +87,42 @@ fn formatting_page_parse_allocs_within_ceiling() {
     );
 }
 
-// Recorded ceilings (post-atom-interning measurement + ~15% headroom).
-const DENSE_PARSE_CEILING: u64 = 9_300; // measured 8,051 (was 53,274 pre-interning)
-const DENSE_BATTERY_CEILING: u64 = 19_900; // measured 17,263 (was 75,287)
-const ATTR_HEAVY_CEILING: u64 = 11_500; // measured 10,020 (was 103,196)
-const ATTR_SOUP_CEILING: u64 = 16_300; // measured 14,206 (was 134,712)
-const FORMATTING_PARSE_CEILING: u64 = 6_250; // measured 5,432 (was 801,095 unshared)
+/// Typical archive pages, about 2 KB each: the mean allocations of one
+/// `CheckContext::new` (tokenize, tree build, kept start tags) and of one
+/// battery run over it, counted as the end-to-end benchmark's traced run
+/// counts `parse.allocs_per_page` and `battery.allocs_per_page`.
+#[test]
+fn typical_pages_allocs_within_ceiling() {
+    let pages = sample_pages(TYPICAL_PAGES);
+    let mut battery = hv_core::Battery::full();
+    for page in &pages {
+        battery.run_ref(&CheckContext::new(page));
+    }
+    let (mut parse, mut check) = (0, 0);
+    for page in &pages {
+        let (cx, n) = count_allocations(|| CheckContext::new(page));
+        parse += n;
+        check += count_allocations(|| battery.run_ref(&cx).kinds().len()).1;
+    }
+    let per_page = |n: u64| n as f64 / TYPICAL_PAGES as f64;
+    let (parse, check) = (per_page(parse), per_page(check));
+    eprintln!("typical ({TYPICAL_PAGES} sample pages): {parse:.1} allocs/parse, {check:.1} allocs/battery-run");
+    assert!(
+        parse <= TYPICAL_PARSE_CEILING,
+        "typical parse allocs regressed: {parse:.1} > {TYPICAL_PARSE_CEILING}"
+    );
+    assert!(
+        check <= TYPICAL_BATTERY_CEILING,
+        "typical battery allocs regressed: {check:.1} > {TYPICAL_BATTERY_CEILING}"
+    );
+}
+
+// Recorded ceilings: the measurement + ~15% headroom. "Copied" counts are
+// from before text runs and attribute lists moved into the DOM uncopied.
+const DENSE_PARSE_CEILING: u64 = 5_150; // measured 4,457 (7,657 copied, 53,274 pre-interning)
+const DENSE_BATTERY_CEILING: u64 = 9_750; // measured 8,468 (16,869 copied, 75,287 pre-interning)
+const ATTR_HEAVY_CEILING: u64 = 5_150; // measured 4,481 (8,918 copied, 103,196 pre-interning)
+const ATTR_SOUP_CEILING: u64 = 7_600; // measured 6,590 (13,124 copied, 134,712 pre-interning)
+const FORMATTING_PARSE_CEILING: u64 = 4_200; // measured 3,648 (5,432 copied, 801,095 unshared)
+const TYPICAL_PARSE_CEILING: f64 = 154.0; // measured 133.8 (238.9 copied)
+const TYPICAL_BATTERY_CEILING: f64 = 7.0; // measured 6.1 (46.7 lowercasing values)
