@@ -5,16 +5,16 @@
 //! [`Battery`] per worker, findings buffer recycled, report borrowed).
 //!
 //! The `fused_*` / `legacy_*` pairs compare the fused single-pass engine
-//! against `checkers::legacy` (each rule scanning the full context on its
-//! own) on the same reused-buffer footing, across a multi-finding page, a
-//! clean page, and a single-finding page. Results are recorded in
-//! `BENCH_battery.json`.
+//! against `hv_fuzz::reference::checkers` (each rule scanning the full
+//! context on its own) on the same reused-buffer footing, across a
+//! multi-finding page, a clean page, and a single-finding page. Results
+//! are recorded in `BENCH_battery.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hv_bench::{sample_pages, total_bytes};
-use hv_core::checkers::legacy;
 use hv_core::context::CheckContext;
 use hv_core::{Battery, PageReport};
+use hv_fuzz::reference::checkers as legacy;
 
 fn bench_battery(c: &mut Criterion) {
     let pages = sample_pages(64);

@@ -8,12 +8,12 @@ use std::hint::black_box;
 
 fn bench_individual_rules(c: &mut Criterion) {
     // Per-rule cost of the pre-fusion scans (the fused engine has no
-    // isolated per-rule path; `legacy::ALL` keeps the per-rule series
-    // comparable across builds).
+    // isolated per-rule path; `reference::checkers::ALL` keeps the
+    // per-rule series comparable across builds).
     let page = hv_bench::violating_page();
     let cx = CheckContext::new(&page);
     let mut g = c.benchmark_group("per_rule");
-    for (kind, check) in checkers::legacy::ALL {
+    for (kind, check) in hv_fuzz::reference::checkers::ALL {
         g.bench_function(kind.id(), |b| {
             b.iter(|| {
                 let mut out = Vec::new();

@@ -10,8 +10,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hv_corpus::{Archive, CorpusConfig, Snapshot};
+use hv_fuzz::reference::aggregate as legacy;
 use hv_pipeline::auxstudies::AuxStudies;
-use hv_pipeline::{aggregate, scan, IndexedStore, ScanOptions};
+use hv_pipeline::{scan, IndexedStore, ScanOptions};
 use std::hint::black_box;
 use std::sync::OnceLock;
 
@@ -36,7 +37,7 @@ fn bench_tables(c: &mut Criterion) {
     println!("{}", hv_report::experiments::table2(store));
     g.bench_function("table2", |b| b.iter(|| black_box(store.index.table2()).len()));
     g.bench_function("table2_legacy", |b| {
-        b.iter(|| black_box(aggregate::legacy::table2(black_box(store))).len())
+        b.iter(|| black_box(legacy::table2(black_box(store))).len())
     });
 
     g.finish();

@@ -10,7 +10,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hv_corpus::{Archive, CorpusConfig};
-use hv_pipeline::{aggregate, scan, AggregateIndex, IndexedStore, ResultStore, ScanOptions};
+use hv_fuzz::reference::aggregate as legacy;
+use hv_pipeline::{scan, AggregateIndex, IndexedStore, ResultStore, ScanOptions};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -70,13 +71,13 @@ fn bench_queries(c: &mut Criterion) {
         b.iter(|| black_box(indexed.index.violating_domains_by_year()))
     });
     g.bench_function("query_violating_by_year_legacy", |b| {
-        b.iter(|| black_box(aggregate::legacy::violating_domains_by_year(black_box(&f.store))))
+        b.iter(|| black_box(legacy::violating_domains_by_year(black_box(&f.store))))
     });
     g.bench_function("query_churn_index", |b| {
         b.iter(|| black_box(indexed.index.violation_churn()).len())
     });
     g.bench_function("query_churn_legacy", |b| {
-        b.iter(|| black_box(aggregate::legacy::violation_churn(black_box(&f.store))).len())
+        b.iter(|| black_box(legacy::violation_churn(black_box(&f.store))).len())
     });
     g.finish();
 }

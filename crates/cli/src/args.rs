@@ -62,9 +62,12 @@ USAGE:
                                      scan + print every experiment
                                      (+ write EXPERIMENTS-style markdown
                                       and/or a machine-readable JSON dump)
-  hva scan-warc <DIR> [--store FILE] scan on-disk WARC/CDXJ archives (as
+  hva scan-warc <DIR> [--threads N] [--store FILE] [--metrics]
+                [--inject-faults S:R] [--resume] [--overwrite]
+                                     scan on-disk WARC/CDXJ archives (as
                                      exported by gen --warc, or real Common
-                                     Crawl extracts in the same layout)
+                                     Crawl extracts in the same layout):
+                                     scan with a WARC source, same flags
   hva explain <VIOLATION|all>        explain a violation: parser behaviour,
                                      attack, and fix (e.g. hva explain DM3)
   hva serve [--addr HOST:PORT] [--threads N] [--max-body BYTES]
@@ -99,8 +102,7 @@ pub enum Command {
         warc: bool,
     },
     Scan {
-        seed: u64,
-        scale: f64,
+        input: ScanInput,
         threads: usize,
         store: Option<PathBuf>,
         metrics: bool,
@@ -138,10 +140,6 @@ pub enum Command {
         out: Option<PathBuf>,
         json: Option<PathBuf>,
     },
-    ScanWarc {
-        dir: PathBuf,
-        store: Option<PathBuf>,
-    },
     Explain {
         what: String,
     },
@@ -153,6 +151,14 @@ pub enum Command {
         store: Option<PathBuf>,
     },
     Help,
+}
+
+/// What `hva scan` (the synthetic archive) or `hva scan-warc` (WARC+CDXJ
+/// files) reads its pages from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ScanInput {
+    Archive { seed: u64, scale: f64 },
+    Warc(PathBuf),
 }
 
 /// `hva store <action>` — maintenance verbs over saved result stores.
@@ -200,25 +206,32 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 warc: flags.has("warc"),
             })
         }
-        "scan" => {
-            let (_, flags) = split(&rest)?;
+        "scan" | "scan-warc" => {
+            let (positional, flags) = split(&rest)?;
+            let input = if cmd == "scan" {
+                ScanInput::Archive {
+                    seed: flags.num("seed", DEFAULT_SEED)?,
+                    scale: flags.float("scale", DEFAULT_SCALE)?,
+                }
+            } else {
+                ScanInput::Warc(positional.first().ok_or("scan-warc: missing <DIR>")?.into())
+            };
             let resume = flags.has("resume");
             let overwrite = flags.has("overwrite");
             if resume && overwrite {
-                return Err("scan: --resume and --overwrite are mutually exclusive".into());
+                return Err(format!("{cmd}: --resume and --overwrite are mutually exclusive"));
             }
             let store = flags.get("store").map(PathBuf::from);
             if resume && store.is_none() {
-                return Err("scan: --resume requires --store FILE".into());
+                return Err(format!("{cmd}: --resume requires --store FILE"));
             }
             Ok(Command::Scan {
-                seed: flags.num("seed", DEFAULT_SEED)?,
-                scale: flags.float("scale", DEFAULT_SCALE)?,
+                input,
                 threads: flags.num("threads", 0)? as usize,
                 store,
                 metrics: flags.has("metrics"),
                 faults: match flags.get("inject-faults") {
-                    Some(spec) => Some(FaultPlan::parse(&spec).map_err(|e| format!("scan: {e}"))?),
+                    Some(spec) => Some(FaultPlan::parse(&spec).map_err(|e| format!("{cmd}: {e}"))?),
                     None => None,
                 },
                 resume,
@@ -311,14 +324,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 }
             };
             Ok(Command::Store { action })
-        }
-        "scan-warc" => {
-            let (positional, flags) = split(&rest)?;
-            let dir = positional.first().ok_or("scan-warc: missing <DIR>")?;
-            Ok(Command::ScanWarc {
-                dir: PathBuf::from(dir),
-                store: flags.get("store").map(PathBuf::from),
-            })
         }
         "explain" => {
             let (positional, _) = split(&rest)?;
@@ -444,9 +449,8 @@ mod tests {
     #[test]
     fn scan_defaults() {
         match p(&["scan"]).unwrap() {
-            Command::Scan { seed, scale, threads, store, metrics, faults, resume, overwrite } => {
-                assert_eq!(seed, 0x48_56_31);
-                assert!((scale - 0.05).abs() < 1e-12);
+            Command::Scan { input, threads, store, metrics, faults, resume, overwrite } => {
+                assert_eq!(input, ScanInput::Archive { seed: 0x48_56_31, scale: 0.05 });
                 assert_eq!(threads, 0);
                 assert!(store.is_none());
                 assert!(!metrics);
@@ -521,6 +525,49 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn scan_warc_takes_scans_flags() {
+        assert_eq!(
+            p(&["scan-warc", "crawl"]).unwrap(),
+            Command::Scan {
+                input: ScanInput::Warc("crawl".into()),
+                threads: 0,
+                store: None,
+                metrics: false,
+                faults: None,
+                resume: false,
+                overwrite: false,
+            }
+        );
+        assert_eq!(
+            p(&[
+                "scan-warc",
+                "crawl",
+                "--threads",
+                "2",
+                "--store",
+                "w.hvs",
+                "--metrics",
+                "--inject-faults",
+                "9:0.1",
+                "--resume",
+            ])
+            .unwrap(),
+            Command::Scan {
+                input: ScanInput::Warc("crawl".into()),
+                threads: 2,
+                store: Some("w.hvs".into()),
+                metrics: true,
+                faults: Some(FaultPlan { seed: 9, rate: 0.1 }),
+                resume: true,
+                overwrite: false,
+            }
+        );
+        assert!(p(&["scan-warc"]).is_err());
+        assert!(p(&["scan-warc", "crawl", "--resume"]).is_err());
+        assert!(p(&["scan-warc", "crawl", "--store", "w.hvs", "--resume", "--overwrite"]).is_err());
     }
 
     #[test]

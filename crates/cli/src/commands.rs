@@ -1,10 +1,12 @@
 //! Subcommand implementations.
 
-use crate::args::{Command, StoreAction, USAGE};
+use crate::args::{Command, ScanInput, StoreAction, USAGE};
 use hv_core::{autofix, Battery};
 use hv_corpus::{Archive, CorpusConfig, Snapshot};
+use hv_pipeline::warcscan::{discover, WarcSource};
 use hv_pipeline::{
-    scan, scan_streamed, IndexedStore, LoadOptions, ResultStore, ScanOptions, StoreFormat,
+    scan_snapshots, scan_streamed, IndexedStore, LoadOptions, PageSource, ResultStore, ScanOptions,
+    StoreFormat,
 };
 use std::fs;
 use std::path::Path;
@@ -21,35 +23,41 @@ pub fn run(cmd: Command) -> Result<(), String> {
         Command::Gen { seed, scale, out, domains, year, warc } => {
             gen(seed, scale, &out, domains, year, warc)
         }
-        Command::Scan { seed, scale, threads, store, metrics, faults, resume, overwrite } => {
-            match store {
-                // Writing the binary format streams one snapshot segment at
-                // a time: peak memory never holds the full record set.
-                Some(path) if StoreFormat::for_path(&path) == StoreFormat::V1Binary => {
-                    run_scan_streamed(
-                        seed, scale, threads, metrics, faults, resume, overwrite, &path,
-                    )?;
-                    println!("store written to {} (v1-binary, streamed)", path.display());
+        Command::Scan { input, threads, store, metrics, faults, resume, overwrite } => {
+            let mut opts = ScanOptions::new()
+                .threads(threads)
+                .progress_every(20_000)
+                .collect_metrics(metrics)
+                .resume(resume)
+                .overwrite(overwrite);
+            opts.faults = faults;
+            match input {
+                ScanInput::Archive { seed, scale } => {
+                    eprintln!("building archive (seed {seed}, scale {scale}) ...");
+                    let archive = Archive::new(CorpusConfig { seed, scale });
+                    eprintln!(
+                        "scanning {} domains x {} snapshots ...",
+                        archive.domains().len(),
+                        Snapshot::ALL.len()
+                    );
+                    scan_to(&archive, &Snapshot::ALL, opts, store.as_deref())
                 }
-                Some(path) if resume => {
-                    return Err(format!(
-                        "scan: --resume requires a v1 binary store, but {} is v0 JSON \
-                         (one-shot writes cannot be resumed)",
-                        path.display()
-                    ));
-                }
-                Some(path) => {
-                    let result = run_scan(seed, scale, threads, metrics, faults)?;
-                    result.save(&path).map_err(|e| format!("saving store: {e}"))?;
-                    println!("store written to {}", path.display());
-                }
-                None => {
-                    let result = run_scan(seed, scale, threads, metrics, faults)?;
-                    // Index exactly once; every experiment renders from it.
-                    println!("{}", hv_report::full_report(&IndexedStore::new(result)));
+                ScanInput::Warc(dir) => {
+                    let inputs = discover(&dir).map_err(|e| {
+                        format!("discovering WARC inputs in {}: {e}", dir.display())
+                    })?;
+                    if inputs.is_empty() {
+                        return Err(format!(
+                            "no CC-MAIN-*.warc/.cdxj pairs found in {}",
+                            dir.display()
+                        ));
+                    }
+                    eprintln!("scanning {} WARC snapshot(s) ...", inputs.len());
+                    let source =
+                        WarcSource::open(&inputs).map_err(|e| format!("scanning WARC: {e}"))?;
+                    scan_to(&source, &source.snapshots(), opts, store.as_deref())
                 }
             }
-            Ok(())
         }
         Command::Chaos { seed, scale, faults, threads } => chaos(seed, scale, faults, threads),
         Command::Fuzz { seed, cases, time_budget, oracle, regress_dir, replay, list_oracles } => {
@@ -65,38 +73,20 @@ pub fn run(cmd: Command) -> Result<(), String> {
             Ok(())
         }
         Command::Store { action } => store_cmd(action),
-        Command::ScanWarc { dir, store } => {
-            let inputs = hv_pipeline::warcscan::discover(&dir)
-                .map_err(|e| format!("discovering WARC inputs in {}: {e}", dir.display()))?;
-            if inputs.is_empty() {
-                return Err(format!("no CC-MAIN-*.warc/.cdxj pairs found in {}", dir.display()));
-            }
-            eprintln!("scanning {} WARC snapshot(s) ...", inputs.len());
-            let result = hv_pipeline::warcscan::scan_warc(&inputs)
-                .map_err(|e| format!("scanning WARC: {e}"))?;
-            match store {
-                Some(path) => {
-                    result
-                        .save_as(&path, StoreFormat::for_path(&path))
-                        .map_err(|e| format!("saving store: {e}"))?;
-                    println!(
-                        "store written to {} ({})",
-                        path.display(),
-                        StoreFormat::for_path(&path).name()
-                    );
-                }
-                None => println!("{}", hv_report::full_report(&IndexedStore::new(result))),
-            }
-            Ok(())
-        }
         Command::Explain { what } => explain(&what),
         Command::Serve { addr, threads, max_body, queue_depth, store } => {
             serve(addr, threads, max_body, queue_depth, store)
         }
         Command::Repro { seed, scale, threads, out, json } => {
+            eprintln!("building archive (seed {seed}, scale {scale}) ...");
+            let archive = Archive::new(CorpusConfig { seed, scale });
             // Repro always collects metrics: the run's provenance (how fast,
             // how many pages, which checks fired) belongs in the record.
-            let store = run_scan(seed, scale, threads, true, None)?;
+            let opts =
+                ScanOptions::new().threads(threads).progress_every(20_000).collect_metrics(true);
+            let t0 = Instant::now();
+            let store = scan_snapshots(&archive, &Snapshot::ALL, opts);
+            narrate_scan(&store, t0);
             // One index build feeds the console report, the markdown dump,
             // and the JSON dump — the records are never re-aggregated.
             let store = IndexedStore::new(store);
@@ -361,86 +351,77 @@ fn gen(
     Ok(())
 }
 
-/// Shared scan setup: build the archive and options, narrating to stderr.
-fn scan_setup(
-    seed: u64,
-    scale: f64,
-    threads: usize,
-    metrics: bool,
-    faults: Option<hv_corpus::FaultPlan>,
-) -> (Archive, ScanOptions) {
-    eprintln!("building archive (seed {seed}, scale {scale}) ...");
-    let archive = Archive::new(CorpusConfig { seed, scale });
-    eprintln!(
-        "scanning {} domains x {} snapshots ...",
-        archive.domains().len(),
-        Snapshot::ALL.len()
-    );
-    let mut opts =
-        ScanOptions::new().threads(threads).progress_every(20_000).collect_metrics(metrics);
-    if let Some(plan) = faults {
-        eprintln!("injecting deterministic faults ({}) ...", plan.render());
-        opts = opts.inject_faults(plan);
-    }
-    (archive, opts)
-}
-
-/// Scan straight into a v1 binary store, one snapshot segment at a time.
-#[allow(clippy::too_many_arguments)]
-fn run_scan_streamed(
-    seed: u64,
-    scale: f64,
-    threads: usize,
-    metrics: bool,
-    faults: Option<hv_corpus::FaultPlan>,
-    resume: bool,
-    overwrite: bool,
-    path: &Path,
+/// Scan `snapshots` of any source to where `store` points. A v1 store
+/// streams one snapshot segment at a time (peak memory never holds the
+/// full record set) and can resume; a v0 JSON store is scanned in memory
+/// and saved once; without a store the full report is printed.
+fn scan_to<S: PageSource>(
+    source: &S,
+    snapshots: &[Snapshot],
+    opts: ScanOptions,
+    store: Option<&Path>,
 ) -> Result<(), String> {
     let t0 = Instant::now();
-    let (archive, mut opts) = scan_setup(seed, scale, threads, metrics, faults);
-    opts = opts.resume(resume).overwrite(overwrite);
-    if resume {
-        eprintln!("resuming {} ...", path.display());
+    if let Some(plan) = opts.faults {
+        eprintln!("injecting deterministic faults ({}) ...", plan.render());
     }
-    let summary = scan_streamed(&archive, &Snapshot::ALL, opts, path)
-        .map_err(|e| format!("streamed scan: {e}"))?;
-    if summary.resumed_segments > 0 {
-        eprintln!(
-            "resume: kept {} completed segment(s){}",
-            summary.resumed_segments,
-            if summary.truncated_bytes > 0 {
-                format!(", truncated {} torn-tail byte(s)", summary.truncated_bytes)
-            } else {
-                String::new()
+    match store {
+        Some(path) if StoreFormat::for_path(path) == StoreFormat::V1Binary => {
+            if opts.resume {
+                eprintln!("resuming {} ...", path.display());
             }
-        );
-    }
-    eprintln!(
-        "scan finished in {:.1}s ({} domain-snapshot records in {} segment(s))",
-        t0.elapsed().as_secs_f64(),
-        summary.records,
-        summary.segments.len()
-    );
-    if summary.quarantined > 0 {
-        eprintln!("faults: {} page(s) quarantined", summary.quarantined);
-    }
-    if let Some(m) = &summary.metrics {
-        eprint!("{}", m.render());
+            let summary = scan_streamed(source, snapshots, opts, path)
+                .map_err(|e| format!("streamed scan: {e}"))?;
+            if summary.resumed_segments > 0 {
+                eprintln!(
+                    "resume: kept {} completed segment(s){}",
+                    summary.resumed_segments,
+                    if summary.truncated_bytes > 0 {
+                        format!(", truncated {} torn-tail byte(s)", summary.truncated_bytes)
+                    } else {
+                        String::new()
+                    }
+                );
+            }
+            eprintln!(
+                "scan finished in {:.1}s ({} domain-snapshot records in {} segment(s))",
+                t0.elapsed().as_secs_f64(),
+                summary.records,
+                summary.segments.len()
+            );
+            if summary.quarantined > 0 {
+                eprintln!("faults: {} page(s) quarantined", summary.quarantined);
+            }
+            if let Some(m) = &summary.metrics {
+                eprint!("{}", m.render());
+            }
+            println!("store written to {} (v1-binary, streamed)", path.display());
+        }
+        Some(path) if opts.resume => {
+            return Err(format!(
+                "--resume requires a v1 binary store, but {} is v0 JSON \
+                 (one-shot writes cannot be resumed)",
+                path.display()
+            ));
+        }
+        _ => {
+            let result = scan_snapshots(source, snapshots, opts);
+            narrate_scan(&result, t0);
+            match store {
+                Some(path) => {
+                    result.save(path).map_err(|e| format!("saving store: {e}"))?;
+                    println!("store written to {}", path.display());
+                }
+                // Index exactly once; every experiment renders from it.
+                None => println!("{}", hv_report::full_report(&IndexedStore::new(result))),
+            }
+        }
     }
     Ok(())
 }
 
-fn run_scan(
-    seed: u64,
-    scale: f64,
-    threads: usize,
-    metrics: bool,
-    faults: Option<hv_corpus::FaultPlan>,
-) -> Result<ResultStore, String> {
-    let t0 = Instant::now();
-    let (archive, opts) = scan_setup(seed, scale, threads, metrics, faults);
-    let store = scan(&archive, opts);
+/// Report an in-memory scan's size, faults and metrics on stderr.
+fn narrate_scan(store: &ResultStore, t0: Instant) {
     eprintln!(
         "scan finished in {:.1}s ({} domain-snapshot records)",
         t0.elapsed().as_secs_f64(),
@@ -457,7 +438,6 @@ fn run_scan(
     if let Some(m) = &store.metrics {
         eprint!("{}", m.render());
     }
-    Ok(store)
 }
 
 /// `hva chaos`: run the scan under deterministic fault injection at two

@@ -1,7 +1,9 @@
 //! End-to-end tests of the `hva` binary.
 
-use std::path::PathBuf;
-use std::process::Command;
+use hv_pipeline::{LoadOptions, ResultStore, StoreFormat};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 fn hva() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hva"))
@@ -113,7 +115,8 @@ fn gen_warc_roundtrips() {
     let cdx = dir.join("CC-MAIN-2021-04.cdxj");
     assert!(warc.exists() && cdx.exists());
     // The CDX index loads and points at readable records.
-    let index = hv_corpus::warc::load_cdxj(&cdx).unwrap();
+    let (index, malformed) = hv_corpus::warc::load_cdxj_lenient(&cdx).unwrap();
+    assert!(malformed.is_empty(), "an export writes no malformed line: {malformed:?}");
     assert!(!index.is_empty());
     let mut f = std::fs::File::open(&warc).unwrap();
     let rec = hv_corpus::warc::read_record(&mut f, index[0].offset, index[0].length).unwrap();
@@ -241,4 +244,129 @@ fn scan_inject_faults_writes_quarantine() {
     // A malformed fault spec is a usage error.
     let out = hva().args(["scan", "--inject-faults", "9:2.0"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// A WARC+CDXJ export of every snapshot (8 domains), written once per run.
+fn warc_export() -> &'static Path {
+    static DIR: OnceLock<PathBuf> = OnceLock::new();
+    DIR.get_or_init(|| {
+        let dir = tmpdir("warc_export");
+        let out = hva()
+            .args(["gen", "--scale", "0.002", "--warc", "--domains", "8", "--out"])
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        dir
+    })
+}
+
+/// What `scan_warc` + `save_v1` write for the export: the bytes every
+/// streamed `hva scan-warc` of it must reproduce.
+fn warc_reference() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let inputs = hv_pipeline::warcscan::discover(warc_export()).unwrap();
+        let path = tmpdir("warc_reference").join("reference.hvs");
+        hv_pipeline::warcscan::scan_warc(&inputs).unwrap().save_v1(&path).unwrap();
+        std::fs::read(&path).unwrap()
+    })
+}
+
+/// A store path in a fresh directory of its own.
+fn fresh_store(test: &str, name: &str) -> PathBuf {
+    let dir = tmpdir(test);
+    let path = dir.join(name);
+    std::fs::remove_file(&path).ok();
+    path
+}
+
+/// `hva scan-warc <export> --store <store> <args>`.
+fn scan_warc(store: &Path, args: &[&str]) -> Output {
+    hva().arg("scan-warc").arg(warc_export()).arg("--store").arg(store).args(args).output().unwrap()
+}
+
+fn assert_ok(out: &Output) {
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn scan_warc_streams_the_reference_bytes() {
+    let path = fresh_store("warc_stream", "w.hvs");
+    let out = scan_warc(&path, &[]);
+    assert_ok(&out);
+    assert!(String::from_utf8_lossy(&out.stdout).contains("streamed"));
+    assert!(std::fs::read(&path).unwrap() == warc_reference(), "streamed bytes differ");
+}
+
+#[test]
+fn scan_warc_honours_threads_and_is_thread_count_invariant() {
+    for threads in ["1", "2"] {
+        let path = fresh_store("warc_threads", &format!("t{threads}.hvs"));
+        assert_ok(&scan_warc(&path, &["--threads", threads]));
+        assert!(std::fs::read(&path).unwrap() == warc_reference(), "--threads {threads} differs");
+    }
+    let path = fresh_store("warc_threads", "metered.hvs");
+    assert_ok(&scan_warc(&path, &["--threads", "1", "--metrics"]));
+    let metrics = ResultStore::load(&path).unwrap().metrics.expect("--metrics embeds metrics");
+    assert_eq!(metrics.threads, 1);
+}
+
+#[test]
+fn scan_warc_refuses_an_existing_store() {
+    let path = fresh_store("warc_clobber", "w.hvs");
+    std::fs::write(&path, b"not a store").unwrap();
+    let out = scan_warc(&path, &[]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("already exists"));
+    assert_eq!(std::fs::read(&path).unwrap(), b"not a store");
+
+    assert_ok(&scan_warc(&path, &["--overwrite"]));
+    assert!(std::fs::read(&path).unwrap() == warc_reference());
+}
+
+#[test]
+fn scan_warc_resumes_a_killed_scan() {
+    let len = warc_reference().len() as u64;
+    for cut in [40, len / 3, len - 5] {
+        let path = fresh_store("warc_resume", &format!("crash-{cut}.hvs"));
+        let out = hva()
+            .env("HV_STORE_CRASH_AFTER", cut.to_string())
+            .arg("scan-warc")
+            .arg(warc_export())
+            .arg("--store")
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "the fuse at byte {cut} did not fire");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), cut);
+        assert_ok(&scan_warc(&path, &["--resume"]));
+        assert!(std::fs::read(&path).unwrap() == warc_reference(), "resume at {cut} differs");
+    }
+}
+
+#[test]
+fn scan_warc_inject_faults_writes_quarantine() {
+    let path = fresh_store("warc_faults", "f.hvs");
+    let out = scan_warc(&path, &["--inject-faults", "9:0.1"]);
+    assert_ok(&out);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("injecting deterministic faults"));
+    let store = ResultStore::load(&path).unwrap();
+    assert!(!store.quarantine.is_empty(), "a 10% fault rate quarantines pages");
+    assert!(store.records.iter().any(|r| r.pages_faulted > 0));
+}
+
+#[test]
+fn scan_warc_json_store_is_v0() {
+    let path = fresh_store("warc_json", "w.json");
+    assert_ok(&scan_warc(&path, &["--metrics", "--inject-faults", "9:0.1"]));
+    let loaded = ResultStore::load_with(&path, LoadOptions::default()).unwrap();
+    assert_eq!(loaded.format, StoreFormat::V0Json);
+    assert!(loaded.store.metrics.is_some());
+    assert!(!loaded.store.quarantine.is_empty());
+
+    // A one-shot JSON write has no durable prefix to resume.
+    let out = scan_warc(&path, &["--resume"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("v0 JSON"));
 }

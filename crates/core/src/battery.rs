@@ -16,7 +16,7 @@
 //! mitigation flags). Findings are sorted by `(kind, offset)` at the end;
 //! since every kind belongs to exactly one rule and each rule sees its
 //! items in the same source order the pre-fusion per-rule scans used, the
-//! output is byte-identical to [`checkers::legacy`].
+//! output is byte-identical to theirs (kept as `hv_fuzz::reference::checkers`).
 //!
 //! The battery also carries the observability hooks of the page-granular
 //! scan engine: [`Battery::run_instrumented`] times each rule and feeds
@@ -548,15 +548,6 @@ mod tests {
         // The instrumented findings agree with the plain run.
         let plain = battery.run(&cx);
         assert_eq!(stats.findings_total(), 2 * plain.findings.len() as u64);
-    }
-
-    #[test]
-    fn fused_engine_matches_legacy_scans() {
-        let cx = CheckContext::new(DIRTY);
-        let fused = Battery::full().run(&cx);
-        let legacy = checkers::legacy::run(&cx);
-        assert_eq!(fused.findings, legacy.findings);
-        assert_eq!(fused.mitigations, legacy.mitigations);
     }
 
     #[test]

@@ -315,48 +315,6 @@ mod tests {
         assert!(r.has(HF2));
     }
 
-    /// HF2's one-flag accumulator vs the legacy whole-vec rescan, on an
-    /// adversarial synthetic event stream with many implicit bodies: same
-    /// findings, but linear instead of O(events²).
-    #[test]
-    fn hf2_accumulator_matches_legacy_on_many_implicit_bodies() {
-        use crate::checkers::{legacy, Check};
-        use crate::taxonomy::ViolationKind;
-        use spec_html::{TreeEvent, TreeEventKind};
-
-        let mut cx = crate::context::CheckContext::new("");
-        let mut events = Vec::new();
-        for i in 0..500 {
-            let offset = i * 10;
-            if i % 3 == 0 {
-                // Head closed by the same token that implies the body:
-                // HF1 fallout, not HF2.
-                events.push(TreeEvent {
-                    kind: TreeEventKind::HeadClosedBy { tag: "p".into() },
-                    offset,
-                });
-            }
-            events.push(TreeEvent {
-                kind: TreeEventKind::ImplicitBody { by: format!("<p#{i}>") },
-                offset,
-            });
-        }
-        cx.parse.events = events;
-
-        let mut legacy_out = Vec::new();
-        let (_, rescan) = legacy::ALL.iter().find(|(k, _)| *k == ViolationKind::HF2).unwrap();
-        rescan(&cx, &mut legacy_out);
-
-        let mut fused_out = Vec::new();
-        let mut hf2 = super::Hf2::default();
-        hf2.reset();
-        for ev in &cx.parse.events {
-            hf2.on_tree_event(&cx, ev, &mut fused_out);
-        }
-        assert!(!legacy_out.is_empty());
-        assert_eq!(fused_out, legacy_out);
-    }
-
     #[test]
     fn hf3_double_body() {
         let r = check_page(

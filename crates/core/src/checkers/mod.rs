@@ -11,8 +11,9 @@
 //! in small per-check accumulators, reset per page.
 //!
 //! The pre-fusion implementation — twenty independent full-context scans —
-//! lives on in [`legacy`] as the reference the equivalence tests and the
-//! fused-vs-legacy bench run against.
+//! lives on outside the production crates, as `hv_fuzz::reference::checkers`:
+//! the reference the `battery-equivalence` oracle, the equivalence tests
+//! and the fused-vs-legacy bench run against.
 //!
 //! The module split follows the problem groups.
 
@@ -20,7 +21,6 @@ pub mod de;
 pub mod dm;
 pub mod fb;
 pub mod hf;
-pub mod legacy;
 
 use crate::context::CheckContext;
 use crate::report::{Finding, MitigationFlags};
@@ -78,7 +78,7 @@ impl std::ops::BitOr for Interest {
 /// handlers named in [`Check::interest`], in a fixed pass order (errors,
 /// events, start tags, DOM nodes, finish). Within one pass, items arrive
 /// in source order — exactly the order the pre-fusion per-check scans
-/// iterated — so the sorted findings are byte-identical to the legacy
+/// iterated — so the sorted findings are byte-identical to the pre-fusion
 /// engine's.
 pub trait Check: Send + Sync {
     /// Which check this is.

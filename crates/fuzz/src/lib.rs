@@ -20,6 +20,9 @@
 //! - [`ddmin`](mod@ddmin) — Zeller delta-debugging, applied first over
 //!   generator pieces and then over bytes, shrinking any failure to a
 //!   locally minimal reproducer.
+//! - [`reference`] — the implementations the rewrites replaced, kept
+//!   verbatim as the oracles' references: the pre-fusion checker battery
+//!   and the pre-index aggregation queries.
 //! - [`runner`] — the single-threaded driver tying them together, with
 //!   time budgets, an oracle filter, and persistence of minimized
 //!   reproducers into `tests/fixtures/regressions/`, which the test
@@ -33,6 +36,7 @@
 pub mod ddmin;
 pub mod gen;
 pub mod oracle;
+pub mod reference;
 pub mod runner;
 
 pub use ddmin::{ddmin, shrink_bytes};

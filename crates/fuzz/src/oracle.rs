@@ -11,7 +11,7 @@
 //! | name | invariant |
 //! |---|---|
 //! | `tokenizer-equivalence` | batched fast paths ≡ pure scalar machine (tokens **and** errors) |
-//! | `battery-equivalence` | fused dispatch engine ≡ pre-fusion `checkers::legacy` battery |
+//! | `battery-equivalence` | fused dispatch engine ≡ pre-fusion [`reference::checkers`] battery |
 //! | `serializer-fixpoint` | serialize ∘ parse converges after one round (mXSS may mutate once) |
 //! | `atom-agreement` | every atom-keyed tag predicate ≡ its string reference |
 //! | `autofix-soundness` | §4.4 auto-fix output re-checks clean of automatic kinds, and converges |
@@ -27,7 +27,8 @@
 //! `--oracle` CLI filter, the replay harness, and minimization all pick
 //! it up from the registry.
 
-use hv_core::{autofix, checkers, Battery, CheckContext, Fixability};
+use crate::reference;
+use hv_core::{autofix, Battery, CheckContext, Fixability};
 use hv_server::api::v1::CheckResponse;
 use spec_html::{serializer, tags, ErrorCode};
 use std::io::{Read, Write};
@@ -142,13 +143,13 @@ impl Oracle for BatteryEquivalence {
     }
 
     fn describe(&self) -> &'static str {
-        "fused dispatch engine reports identical findings to the pre-fusion checkers::legacy battery"
+        "fused dispatch engine reports identical findings to the pre-fusion reference battery"
     }
 
     fn check(&mut self, case: &str) -> Result<(), String> {
         let cx = CheckContext::new(case);
         let fused = self.battery.run(&cx);
-        let legacy = checkers::legacy::run(&cx);
+        let legacy = reference::checkers::run(&cx);
         if fused.findings != legacy.findings {
             return Err(format!(
                 "findings diverge: fused={:?} legacy={:?}",

@@ -659,6 +659,39 @@ impl<'a> Cursor<'a> {
     fn u64_le(&mut self, what: &str, segment: Option<u32>) -> Result<u64, HvError> {
         Ok(u64::from_le_bytes(self.take(8, what, segment)?.try_into().unwrap()))
     }
+
+    /// The header frame after the magic: length, provenance JSON, CRC.
+    fn header(&mut self) -> Result<StoreHeader, HvError> {
+        let header_start = self.pos;
+        let header_len = self.u32_le("header length", None)?;
+        if u64::from(header_len) > MAX_FRAME {
+            return Err(self.corrupt(None, header_start, "implausible header length"));
+        }
+        let header_json = self.take(header_len as usize, "header", None)?;
+        let stored_crc = self.u32_le("header checksum", None)?;
+        let actual = Crc32::new().update(&header_len.to_le_bytes()).update(header_json).finish();
+        if stored_crc != actual {
+            return Err(self.corrupt(None, header_start, "header checksum mismatch"));
+        }
+        serde_json::from_slice(header_json)
+            .map_err(|e| self.corrupt(None, header_start, format!("header does not parse: {e}")))
+    }
+}
+
+impl V1Contents {
+    /// Nothing read yet but the header.
+    fn empty(header: StoreHeader) -> V1Contents {
+        V1Contents {
+            seed: header.seed,
+            scale: header.scale,
+            universe: header.universe,
+            records: Vec::new(),
+            metrics: None,
+            quarantine: Vec::new(),
+            segments: Vec::new(),
+            dropped: Vec::new(),
+        }
+    }
 }
 
 /// Parse a v1 store image. Strict mode returns the first integrity
@@ -674,30 +707,7 @@ pub fn read_v1(data: &[u8], path: &Path, opts: LoadOptions) -> Result<V1Contents
 
     // Header: the provenance triple. Non-negotiable even for partial
     // loads — without it there is no store identity.
-    let header_start = cur.pos;
-    let header_len = cur.u32_le("header length", None)?;
-    if u64::from(header_len) > MAX_FRAME {
-        return Err(cur.corrupt(None, header_start, "implausible header length"));
-    }
-    let header_json = cur.take(header_len as usize, "header", None)?;
-    let stored_crc = cur.u32_le("header checksum", None)?;
-    let actual = Crc32::new().update(&header_len.to_le_bytes()).update(header_json).finish();
-    if stored_crc != actual {
-        return Err(cur.corrupt(None, header_start, "header checksum mismatch"));
-    }
-    let header: StoreHeader = serde_json::from_slice(header_json)
-        .map_err(|e| cur.corrupt(None, header_start, format!("header does not parse: {e}")))?;
-
-    let mut out = V1Contents {
-        seed: header.seed,
-        scale: header.scale,
-        universe: header.universe,
-        records: Vec::new(),
-        metrics: None,
-        quarantine: Vec::new(),
-        segments: Vec::new(),
-        dropped: Vec::new(),
-    };
+    let mut out = V1Contents::empty(cur.header()?);
 
     let mut segment_ordinal: u32 = 0;
     let mut saw_trailer = false;
@@ -1003,22 +1013,7 @@ pub fn scan_prefix(data: &[u8], path: &Path) -> Result<PrefixState, HvError> {
 
     // Header frame: torn or corrupt ⇒ nothing durable was committed.
     let mut cur = Cursor { data, pos: MAGIC.len(), path };
-    let header = (|| -> Result<StoreHeader, HvError> {
-        let header_start = cur.pos;
-        let header_len = cur.u32_le("header length", None)?;
-        if u64::from(header_len) > MAX_FRAME {
-            return Err(cur.corrupt(None, header_start, "implausible header length"));
-        }
-        let header_json = cur.take(header_len as usize, "header", None)?;
-        let stored_crc = cur.u32_le("header checksum", None)?;
-        let actual = Crc32::new().update(&header_len.to_le_bytes()).update(header_json).finish();
-        if stored_crc != actual {
-            return Err(cur.corrupt(None, header_start, "header checksum mismatch"));
-        }
-        serde_json::from_slice(header_json)
-            .map_err(|e| cur.corrupt(None, header_start, format!("header does not parse: {e}")))
-    })();
-    let Ok(header) = header else {
+    let Ok(header) = cur.header() else {
         return Ok(fresh);
     };
 
@@ -1029,16 +1024,7 @@ pub fn scan_prefix(data: &[u8], path: &Path) -> Result<PrefixState, HvError> {
         valid_end: cur.pos as u64,
         complete: false,
     };
-    let mut scratch = V1Contents {
-        seed: header.seed,
-        scale: header.scale,
-        universe: header.universe,
-        records: Vec::new(),
-        metrics: None,
-        quarantine: Vec::new(),
-        segments: Vec::new(),
-        dropped: Vec::new(),
-    };
+    let mut scratch = V1Contents::empty(header);
     while cur.pos < data.len() && data[cur.pos] == TAG_SEGMENT {
         let ordinal = state.segments.len() as u32;
         if read_block(&mut cur, ordinal, &mut scratch).is_err() {

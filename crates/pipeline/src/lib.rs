@@ -24,8 +24,8 @@
 //!   segmented binary layout with per-segment checksums and summaries.
 //! * [`aggregate`] — the one-pass [`AggregateIndex`]: every number behind
 //!   Tables 1–2, Figures 8–10 and 16–21 folded in a single O(records)
-//!   sweep, with the original per-query scans kept in
-//!   [`aggregate::legacy`] as the equivalence oracle.
+//!   sweep (the original per-query scans are the equivalence oracle, kept
+//!   in `hv_fuzz::reference::aggregate`).
 //! * [`outcome`] — the failure model: every listed page ends analyzed,
 //!   degraded (analyzed after retries), or quarantined with a structured
 //!   [`ErrorClass`]; never a dead worker, never a silent skip.
@@ -65,6 +65,6 @@ pub use format::{
     SegmentSummary, StoreHeader, StoreSink, StoreWriter,
 };
 pub use metrics::{FaultMetrics, PhaseNanos, ScanMetrics};
-pub use outcome::{ErrorClass, QuarantineEntry, RetryPolicy};
+pub use outcome::{ErrorClass, QuarantineEntry, FETCH_ATTEMPTS};
 pub use run::{scan, scan_snapshots, scan_streamed, PageSource, ScanOptions, ScanSummary};
 pub use store::{DomainYearRecord, LoadedStore, ResultStore, StoreFormat};

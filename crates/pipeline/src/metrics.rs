@@ -26,9 +26,6 @@ pub struct FaultMetrics {
     /// Fetch retries performed (each transient failure that was retried).
     #[serde(default)]
     pub retries: u64,
-    /// Total deterministic backoff the retries accounted, nanoseconds.
-    #[serde(default)]
-    pub backoff_nanos: u64,
     /// Pages analyzed only after ≥ 1 retry (degraded).
     #[serde(default)]
     pub degraded: u64,
@@ -81,7 +78,6 @@ impl FaultMetrics {
     pub fn merge(&mut self, other: &FaultMetrics) {
         self.injected += other.injected;
         self.retries += other.retries;
-        self.backoff_nanos += other.backoff_nanos;
         self.degraded += other.degraded;
         self.quarantined += other.quarantined;
         self.panics_caught += other.panics_caught;
@@ -387,5 +383,15 @@ mod tests {
         assert_eq!(back.pages_analyzed, m.pages_analyzed);
         assert_eq!(back.phases, m.phases);
         assert_eq!(back.threads, 2);
+
+        // Stores written while retries still accounted a backoff carry a
+        // `backoff_nanos` fault counter; it is ignored on load.
+        let old = r#"{"threads":2,"pages_analyzed":3,"faults":{"injected":4,"retries":2,"backoff_nanos":0,"degraded":1}}"#;
+        let back: ScanMetrics = serde_json::from_str(old).unwrap();
+        assert_eq!(back.pages_analyzed, 3);
+        assert_eq!(
+            back.faults,
+            FaultMetrics { injected: 4, retries: 2, degraded: 1, ..FaultMetrics::default() }
+        );
     }
 }

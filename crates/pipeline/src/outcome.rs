@@ -13,11 +13,11 @@
 //! aggregates *and accounted for*, so the denominator of every rate is
 //! explicit.
 //!
-//! Retries are governed by [`RetryPolicy`]: bounded attempts with
-//! deterministic exponential backoff. The backoff is part of the failure
+//! A transient read error is retried up to [`FETCH_ATTEMPTS`] attempts in
+//! all, without waiting between them. The bound is part of the failure
 //! model, not a tuning knob — with a deterministic fault schedule
-//! (`hv_corpus::faults`), the same policy yields the same outcomes on
-//! every run at every thread count.
+//! (`hv_corpus::faults`), the same bound yields the same outcomes on every
+//! run at every thread count.
 
 use hv_corpus::Snapshot;
 use serde::{Deserialize, Serialize};
@@ -69,33 +69,11 @@ impl std::fmt::Display for ErrorClass {
     }
 }
 
-/// Bounded retry with deterministic exponential backoff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total fetch attempts per page (first try included). Must be ≥ 1.
-    pub max_attempts: u32,
-    /// Backoff before retry `n` (1-based) is `base << (n - 1)` nanoseconds.
-    /// 0 disables sleeping — right for the virtual archive, where
-    /// "transient" faults are simulated and waiting buys nothing.
-    pub base_backoff_nanos: u64,
-}
-
-impl RetryPolicy {
-    /// Deterministic backoff before the `attempt`-th retry (1-based).
-    pub fn backoff_nanos(&self, attempt: u32) -> u64 {
-        self.base_backoff_nanos << (attempt - 1).min(20)
-    }
-}
-
-impl Default for RetryPolicy {
-    /// Three attempts, no sleeping: with the injector drawing 1–4
-    /// transient failures per faulted page, roughly half recover
-    /// (degraded) and half exhaust into quarantine — both paths stay
-    /// exercised by default.
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 3, base_backoff_nanos: 0 }
-    }
-}
+/// Fetch attempts per page, the first included. The fault injector draws
+/// 1–4 transient failures per transient-faulted page, so with three
+/// attempts roughly half recover (degraded) and half exhaust into
+/// quarantine: both paths stay exercised.
+pub const FETCH_ATTEMPTS: u32 = 3;
 
 /// One quarantined page, persisted in the [`crate::ResultStore`] so a scan
 /// is auditable: which pages are missing from the aggregates, and why.
@@ -127,24 +105,6 @@ mod tests {
             let back: ErrorClass = serde_json::from_str(&json).unwrap();
             assert_eq!(back, class);
         }
-    }
-
-    #[test]
-    fn backoff_doubles_from_base() {
-        let p = RetryPolicy { max_attempts: 4, base_backoff_nanos: 100 };
-        assert_eq!(p.backoff_nanos(1), 100);
-        assert_eq!(p.backoff_nanos(2), 200);
-        assert_eq!(p.backoff_nanos(3), 400);
-        // The shift is clamped: no overflow however many attempts.
-        assert!(p.backoff_nanos(80) > 0);
-    }
-
-    #[test]
-    fn default_policy_never_sleeps() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.max_attempts, 3);
-        assert_eq!(p.backoff_nanos(1), 0);
-        assert_eq!(p.backoff_nanos(3), 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::format::{Resumed, SegmentSummary, StoreHeader, StoreWriter};
 use crate::metrics::{PhaseNanos, ScanMetrics};
-use crate::outcome::{ErrorClass, QuarantineEntry, RetryPolicy};
+use crate::outcome::{ErrorClass, QuarantineEntry, FETCH_ATTEMPTS};
 use crate::store::{DomainYearRecord, ResultStore};
 use hv_core::context::CheckContext;
 use hv_core::{Battery, HvError, MitigationFlags, ViolationKind};
@@ -53,8 +53,6 @@ pub struct ScanOptions {
     /// Deterministic fault injection over the read path (`None` = clean
     /// scan). See [`hv_corpus::faults`].
     pub faults: Option<FaultPlan>,
-    /// Retry policy for transient fetch errors.
-    pub retry: RetryPolicy,
     /// Record bodies larger than this are quarantined
     /// ([`ErrorClass::OversizedBody`]) instead of parsed.
     pub byte_budget: usize,
@@ -74,15 +72,14 @@ pub struct ScanOptions {
 pub const DEFAULT_BYTE_BUDGET: usize = 1 << 20;
 
 impl ScanOptions {
-    /// The defaults: all cores, silent, no metrics, no faults, three fetch
-    /// attempts, 1 MiB byte budget.
+    /// The defaults: all cores, silent, no metrics, no faults, 1 MiB byte
+    /// budget.
     pub fn new() -> Self {
         ScanOptions {
             threads: 0,
             progress_every: 0,
             collect_metrics: false,
             faults: None,
-            retry: RetryPolicy::default(),
             byte_budget: DEFAULT_BYTE_BUDGET,
             resume: false,
             overwrite: false,
@@ -110,12 +107,6 @@ impl ScanOptions {
     /// Inject deterministic faults into the read path.
     pub fn inject_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Override the transient-error retry policy.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
         self
     }
 
@@ -467,8 +458,6 @@ struct Fetched {
     invalid_utf8: bool,
     /// Transient-error retries performed.
     retries: u32,
-    /// Deterministic backoff accounted across those retries.
-    backoff_nanos: u64,
 }
 
 /// What the guarded per-page analysis concluded. Produced *inside* the
@@ -530,7 +519,6 @@ fn scan_worker<S: PageSource>(job: &Job<'_, S>) -> WorkerOut {
         wm.faults.injected += fetched.faulted as u64;
         wm.faults.invalid_utf8_injected += fetched.invalid_utf8 as u64;
         wm.faults.retries += u64::from(fetched.retries);
-        wm.faults.backoff_nanos += fetched.backoff_nanos;
 
         let body = match fetched.body {
             Ok(body) => body,
@@ -624,18 +612,13 @@ fn scan_worker<S: PageSource>(job: &Job<'_, S>) -> WorkerOut {
 }
 
 /// Fetch one record body, applying the fault plan (when configured) and
-/// the bounded-retry policy for transient errors. Pure bookkeeping comes
-/// back in [`Fetched`]; the caller applies it to partials and metrics.
+/// up to [`FETCH_ATTEMPTS`] attempts for transient errors. Pure
+/// bookkeeping comes back in [`Fetched`]; the caller applies it to
+/// partials and metrics.
 fn fetch_page<S: PageSource>(job: &Job<'_, S>, slot: &Slot<S::Locator>, page: usize) -> Fetched {
     let opts = job.opts;
     let fetch = || job.source.fetch(&slot.locator, page, opts.byte_budget);
-    let mut out = Fetched {
-        body: Ok(Vec::new()),
-        faulted: false,
-        invalid_utf8: false,
-        retries: 0,
-        backoff_nanos: 0,
-    };
+    let mut out = Fetched { body: Ok(Vec::new()), faulted: false, invalid_utf8: false, retries: 0 };
     let Some(plan) = opts.faults else {
         out.body = fetch();
         return out;
@@ -669,17 +652,10 @@ fn fetch_page<S: PageSource>(job: &Job<'_, S>, slot: &Slot<S::Locator>, page: us
         match applied {
             Ok(body) => break Ok(body),
             Err(FetchFault::Transient) => {
-                if attempt >= opts.retry.max_attempts {
+                if attempt >= FETCH_ATTEMPTS {
                     break Err(ErrorClass::TransientIo);
                 }
                 out.retries += 1;
-                let backoff = opts.retry.backoff_nanos(attempt);
-                out.backoff_nanos += backoff;
-                if backoff > 0 {
-                    // Deterministic accounting either way; actual sleeping
-                    // only when a base was configured (real I/O).
-                    std::thread::sleep(std::time::Duration::from_nanos(backoff));
-                }
                 attempt += 1;
             }
             // Deterministic corruption: retrying cannot help.
@@ -955,8 +931,8 @@ mod tests {
         assert_eq!(rec_degraded, m.faults.degraded);
         assert_eq!(rec_quarantined, m.faults.quarantined);
         assert_eq!(store.quarantine.len() as u64, m.faults.quarantined);
-        // The default retry policy (3 attempts vs 1–4 planned failures)
-        // exercises both the recovery and the exhaustion path.
+        // Three attempts against 1–4 planned failures exercise both the
+        // recovery and the exhaustion path.
         assert!(m.faults.degraded > 0, "some transient faults must recover");
         assert!(m.faults.transient_io > 0, "some transient faults must exhaust");
         assert_eq!(m.faults.parser_panic, 0, "no input may panic the parser");

@@ -359,27 +359,13 @@ pub fn aux_studies(store: &IndexedStore) -> String {
     s
 }
 
-/// The full report: every experiment in order.
+/// The full report: every experiment of [`EXPERIMENTS`] in order.
 pub fn full_report(store: &IndexedStore) -> String {
-    let parts = [
-        table1(),
-        table2(store),
-        fig8(store),
-        fig9(store),
-        fig10(store),
-        fig16(store),
-        fig17(store),
-        fig18(store),
-        fig19(store),
-        fig20(store),
-        fig21(store),
-        stats(store),
-        autofix(store),
-        mitigations(store),
-        rollout(store),
-        churn(store),
-        aux_studies(store),
-    ];
+    let parts: Vec<String> = EXPERIMENTS
+        .iter()
+        .filter(|&&name| name != "all")
+        .map(|name| render(name, store).expect("every listed experiment renders"))
+        .collect();
     parts.join("\n================================================================\n\n")
 }
 

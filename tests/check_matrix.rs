@@ -4,11 +4,11 @@
 //! trigger exactly that rule) and a negative fixture (a near-miss that must
 //! not). On top of the matrix, the fused dispatch engine is checked to be
 //! *report-identical* to the pre-fusion per-rule scans
-//! (`hv_core::checkers::legacy`) — on every fixture and on
+//! (`hv_fuzz::reference::checkers`) — on every fixture and on
 //! property-generated HTML soup.
 
-use html_violations::hv_core::checkers::legacy;
 use html_violations::hv_core::CheckContext;
+use html_violations::hv_fuzz::reference::checkers as legacy;
 use html_violations::prelude::*;
 use proptest::prelude::*;
 
@@ -143,19 +143,24 @@ fn no_kind_fires_on_its_negative_fixture() {
     }
 }
 
+/// Pages outside the matrix that fire several rules at once: duplicate
+/// attributes on two elements, a stray solidus, and unseparated
+/// attributes.
+const MULTI_FINDING: &[&str] =
+    &["<img src=a src=b><div id=x id=y><p/ class=c><a href=\"u\"title=t>"];
+
 /// The fused engine's report — findings *and* mitigation flags — must be
 /// identical to the pre-fusion per-rule scans on every fixture.
 #[test]
 fn fused_engine_is_report_identical_to_legacy_on_fixtures() {
     let mut battery = Battery::full();
-    for (_, positive, negative) in MATRIX {
-        for page in [positive, negative] {
-            let cx = CheckContext::new(page);
-            let fused = battery.run(&cx);
-            let old = legacy::run(&cx);
-            assert_eq!(fused.findings, old.findings, "fixture: {page}");
-            assert_eq!(fused.mitigations, old.mitigations, "fixture: {page}");
-        }
+    let matrix = MATRIX.iter().flat_map(|(_, positive, negative)| [*positive, *negative]);
+    for page in matrix.chain(MULTI_FINDING.iter().copied()) {
+        let cx = CheckContext::new(page);
+        let fused = battery.run(&cx);
+        let old = legacy::run(&cx);
+        assert_eq!(fused.findings, old.findings, "fixture: {page}");
+        assert_eq!(fused.mitigations, old.mitigations, "fixture: {page}");
     }
 }
 

@@ -85,7 +85,6 @@ fn golden_fault_counters_are_pinned() {
     let f = store.metrics.as_ref().expect("metrics collected").faults;
     assert_eq!(f.injected, 43, "faults injected");
     assert_eq!(f.retries, 16, "transient retries");
-    assert_eq!(f.backoff_nanos, 0, "default policy backs off immediately");
     assert_eq!(f.degraded, 5, "pages degraded");
     assert_eq!(f.quarantined, 33, "pages quarantined");
     assert_eq!(f.panics_caught, 0, "injected faults never panic the parser");

@@ -10,9 +10,10 @@
 
 use html_violations::hv_core::{MitigationFlags, ViolationKind};
 use html_violations::hv_corpus::Snapshot;
+use html_violations::hv_fuzz::reference::aggregate as reference;
 use html_violations::hv_pipeline::{
-    aggregate, AggregateIndex, DomainYearRecord, IndexedStore, LoadOptions, QuarantineEntry,
-    ResultStore, ScanMetrics, StoreFormat,
+    AggregateIndex, DomainYearRecord, IndexedStore, LoadOptions, QuarantineEntry, ResultStore,
+    ScanMetrics, StoreFormat,
 };
 use html_violations::hv_report;
 use proptest::prelude::*;
@@ -93,18 +94,12 @@ fn migration_to_v1_and_back_is_byte_lossless() {
 fn fixture_index_matches_legacy_oracle() {
     let store = ResultStore::load(Path::new(FIXTURE)).unwrap();
     let index = AggregateIndex::build(&store);
-    assert_eq!(json(&index.table2()), json(&aggregate::legacy::table2(&store)));
-    assert_eq!(index.table2_total(), aggregate::legacy::table2_total(&store));
-    assert_eq!(
-        json(&index.overall_distribution()),
-        json(&aggregate::legacy::overall_distribution(&store))
-    );
-    assert_eq!(index.overall_violating_share(), aggregate::legacy::overall_violating_share(&store));
-    assert_eq!(
-        index.violating_domains_by_year(),
-        aggregate::legacy::violating_domains_by_year(&store)
-    );
-    assert_eq!(json(&index.violation_churn()), json(&aggregate::legacy::violation_churn(&store)));
+    assert_eq!(json(&index.table2()), json(&reference::table2(&store)));
+    assert_eq!(index.table2_total(), reference::table2_total(&store));
+    assert_eq!(json(&index.overall_distribution()), json(&reference::overall_distribution(&store)));
+    assert_eq!(index.overall_violating_share(), reference::overall_violating_share(&store));
+    assert_eq!(index.violating_domains_by_year(), reference::violating_domains_by_year(&store));
+    assert_eq!(json(&index.violation_churn()), json(&reference::violation_churn(&store)));
 }
 
 fn kinds_from_bits(bits: u32) -> BTreeSet<ViolationKind> {
@@ -209,46 +204,53 @@ proptest! {
     #[test]
     fn index_matches_legacy_oracle_on_any_store(store in arb_store()) {
         let index = AggregateIndex::build(&store);
-        prop_assert_eq!(json(&index.table2()), json(&aggregate::legacy::table2(&store)));
-        prop_assert_eq!(index.table2_total(), aggregate::legacy::table2_total(&store));
+        prop_assert_eq!(json(&index.table2()), json(&reference::table2(&store)));
+        prop_assert_eq!(index.table2_total(), reference::table2_total(&store));
         prop_assert_eq!(
             json(&index.overall_distribution()),
-            json(&aggregate::legacy::overall_distribution(&store))
+            json(&reference::overall_distribution(&store))
         );
         prop_assert_eq!(
             index.overall_violating_share().to_bits(),
-            aggregate::legacy::overall_violating_share(&store).to_bits()
+            reference::overall_violating_share(&store).to_bits()
         );
         prop_assert_eq!(
             index.violating_domains_by_year(),
-            aggregate::legacy::violating_domains_by_year(&store)
+            reference::violating_domains_by_year(&store)
         );
-        prop_assert_eq!(json(&index.group_trends()), json(&aggregate::legacy::group_trends(&store)));
+        prop_assert_eq!(json(&index.group_trends()), json(&reference::group_trends(&store)));
         for kind in ViolationKind::ALL {
             prop_assert_eq!(
                 index.kind_trend(kind),
-                aggregate::legacy::kind_trend(&store, kind),
+                reference::kind_trend(&store, kind),
                 "kind_trend({})", kind.id()
             );
+            for snap in Snapshot::ALL {
+                prop_assert_eq!(
+                    index.domains_with_kind_in_year(kind, snap),
+                    reference::domains_with_kind_in_year(&store, kind, snap),
+                    "domains_with_kind_in_year({}, {})", kind.id(), snap
+                );
+            }
         }
         for snap in Snapshot::ALL {
             prop_assert_eq!(
                 json(&index.autofix_projection(snap)),
-                json(&aggregate::legacy::autofix_projection(&store, snap))
+                json(&reference::autofix_projection(&store, snap))
             );
         }
         prop_assert_eq!(
             json(&index.mitigation_trends()),
-            json(&aggregate::legacy::mitigation_trends(&store))
+            json(&reference::mitigation_trends(&store))
         );
         prop_assert_eq!(
             json(&index.rollout_breakage()),
-            json(&aggregate::legacy::rollout_breakage(&store))
+            json(&reference::rollout_breakage(&store))
         );
-        prop_assert_eq!(index.math_usage_by_year(), aggregate::legacy::math_usage_by_year(&store));
+        prop_assert_eq!(index.math_usage_by_year(), reference::math_usage_by_year(&store));
         prop_assert_eq!(
             json(&index.violation_churn()),
-            json(&aggregate::legacy::violation_churn(&store))
+            json(&reference::violation_churn(&store))
         );
     }
 }
