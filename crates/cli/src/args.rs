@@ -171,6 +171,10 @@ pub enum StoreAction {
 }
 
 const DEFAULT_SEED: u64 = 0x48_56_31;
+
+/// The flags of `scan`; `scan-warc` takes all of them but the first two.
+const SCAN_FLAGS: &[&str] =
+    &["seed", "scale", "threads", "store", "metrics", "inject-faults", "resume", "overwrite"];
 const DEFAULT_SCALE: f64 = 0.05;
 
 pub fn parse(argv: &[String]) -> Result<Command, String> {
@@ -180,12 +184,12 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     match cmd {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "check" => {
-            let (positional, flags) = split(&rest)?;
+            let (positional, flags) = split(cmd, &rest, &["json"])?;
             let file = positional.first().ok_or("check: missing <file>")?;
             Ok(Command::Check { file: PathBuf::from(file), json: flags.has("json") })
         }
         "fix" => {
-            let (positional, flags) = split(&rest)?;
+            let (positional, flags) = split(cmd, &rest, &["o", "out"])?;
             let file = positional.first().ok_or("fix: missing <file>")?;
             Ok(Command::Fix {
                 file: PathBuf::from(file),
@@ -193,7 +197,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "gen" => {
-            let (_, flags) = split(&rest)?;
+            let (_, flags) =
+                split(cmd, &rest, &["seed", "scale", "out", "domains", "year", "warc"])?;
             Ok(Command::Gen {
                 seed: flags.num("seed", DEFAULT_SEED)?,
                 scale: flags.float("scale", DEFAULT_SCALE)?,
@@ -207,7 +212,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "scan" | "scan-warc" => {
-            let (positional, flags) = split(&rest)?;
+            let known = if cmd == "scan" { SCAN_FLAGS } else { &SCAN_FLAGS[2..] };
+            let (positional, flags) = split(cmd, &rest, known)?;
             let input = if cmd == "scan" {
                 ScanInput::Archive {
                     seed: flags.num("seed", DEFAULT_SEED)?,
@@ -239,7 +245,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "chaos" => {
-            let (_, flags) = split(&rest)?;
+            let (_, flags) = split(cmd, &rest, &["seed", "scale", "faults", "threads"])?;
             let faults = match flags.get("faults") {
                 Some(spec) => FaultPlan::parse(&spec).map_err(|e| format!("chaos: {e}"))?,
                 // Default: the corpus default seed at a 10% fault rate.
@@ -253,7 +259,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "fuzz" => {
-            let (_, flags) = split(&rest)?;
+            let known =
+                ["seed", "cases", "time-budget", "oracle", "regress-dir", "replay", "list-oracles"];
+            let (_, flags) = split(cmd, &rest, &known)?;
             let time_budget = match flags.get("time-budget") {
                 Some(v) => Some(
                     v.parse::<u64>().map_err(|_| format!("fuzz: bad --time-budget value {v}"))?,
@@ -274,7 +282,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "report" => {
-            let (positional, flags) = split(&rest)?;
+            let (positional, flags) = split(cmd, &rest, &["store", "allow-partial"])?;
             let experiment = positional.first().ok_or("report: missing <experiment>")?;
             let store = flags.get("store").ok_or("report: missing --store FILE")?;
             Ok(Command::Report {
@@ -284,7 +292,13 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "store" => {
-            let (positional, flags) = split(&rest)?;
+            // The action comes first and names the flags it takes.
+            let known: &[&str] = match rest.first().copied() {
+                Some("verify") => &[],
+                Some("inspect" | "export") => &["allow-partial"],
+                _ => &["allow-partial", "to"],
+            };
+            let (positional, flags) = split(cmd, &rest, known)?;
             let action = positional
                 .first()
                 .ok_or("store: missing action (inspect | verify | migrate | export)")?;
@@ -326,12 +340,13 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             Ok(Command::Store { action })
         }
         "explain" => {
-            let (positional, _) = split(&rest)?;
+            let (positional, _) = split(cmd, &rest, &[])?;
             let what = positional.first().ok_or("explain: missing <VIOLATION|all>")?;
             Ok(Command::Explain { what: what.to_string() })
         }
         "serve" => {
-            let (_, flags) = split(&rest)?;
+            let known = ["addr", "threads", "max-body", "queue-depth", "store"];
+            let (_, flags) = split(cmd, &rest, &known)?;
             let queue_depth = flags.num("queue-depth", 64)? as usize;
             if queue_depth == 0 {
                 return Err("serve: --queue-depth must be positive".into());
@@ -345,7 +360,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "repro" => {
-            let (_, flags) = split(&rest)?;
+            let (_, flags) = split(cmd, &rest, &["seed", "scale", "threads", "out", "json"])?;
             Ok(Command::Repro {
                 seed: flags.num("seed", DEFAULT_SEED)?,
                 scale: flags.float("scale", DEFAULT_SCALE)?,
@@ -394,8 +409,9 @@ impl Flags {
 }
 
 /// Split args into positional values and flag pairs. A flag's value is the
-/// next token unless that token is itself a flag (then it's boolean).
-fn split<'a>(rest: &[&'a str]) -> Result<(Vec<&'a str>, Flags), String> {
+/// next token unless that token is itself a flag (then it's boolean). A
+/// flag outside the subcommand's `known` list is an error naming it.
+fn split<'a>(cmd: &str, rest: &[&'a str], known: &[&str]) -> Result<(Vec<&'a str>, Flags), String> {
     let mut positional = Vec::new();
     let mut pairs = Vec::new();
     let mut i = 0;
@@ -404,6 +420,9 @@ fn split<'a>(rest: &[&'a str]) -> Result<(Vec<&'a str>, Flags), String> {
         if let Some(key) = tok.strip_prefix("--").or_else(|| tok.strip_prefix('-')) {
             if key.is_empty() {
                 return Err(format!("bad flag: {tok}"));
+            }
+            if !known.contains(&key) {
+                return Err(format!("{cmd}: unknown flag {tok}"));
             }
             let value = rest.get(i + 1).filter(|v| !v.starts_with('-')).map(|v| v.to_string());
             if value.is_some() {
@@ -745,6 +764,22 @@ mod tests {
             Command::Fuzz { list_oracles: true, .. }
         ));
         assert!(p(&["fuzz", "--time-budget", "soon"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_rejected_by_name() {
+        for (args, flag) in [
+            (&["scan", "--metric"][..], "--metric"),
+            (&["scan-warc", "D", "--seed", "7"][..], "--seed"),
+            (&["check", "x.html", "--jsn"][..], "--jsn"),
+            (&["store", "verify", "s.hvs", "--to", "v1"][..], "--to"),
+        ] {
+            let err = p(args).unwrap_err();
+            assert!(err.contains("unknown flag") && err.contains(flag), "{args:?}: {err}");
+        }
+        // The flags each of those subcommands does take still parse.
+        assert!(matches!(p(&["scan", "--metrics"]).unwrap(), Command::Scan { metrics: true, .. }));
+        assert!(p(&["check", "x.html", "--json"]).is_ok());
     }
 
     #[test]

@@ -27,7 +27,9 @@ use crate::report::{Finding, MitigationFlags};
 use crate::taxonomy::ViolationKind;
 use spec_html::dom::NodeId;
 use spec_html::errors::ParseError;
+use spec_html::tags;
 use spec_html::tokenizer::Tag;
+use spec_html::Atom;
 use spec_html::TreeEvent;
 
 /// Bitmask of the dispatch sources a rule wants to see. The battery skips
@@ -170,10 +172,13 @@ pub(crate) struct MitigationAccumulator {
     flags: MitigationFlags,
 }
 
+const NONCE: Atom = Atom::known("nonce");
+const SCRIPT: Atom = Atom::known("script");
+
 impl MitigationAccumulator {
     pub(crate) fn observe(&mut self, tag: &Tag) {
-        let is_script = tag.name == "script";
-        let has_nonce = tag.attr("nonce").is_some();
+        let is_script = tag.name == SCRIPT;
+        let has_nonce = tag.attrs.iter().any(|a| a.name == NONCE);
         for attr in &tag.attrs {
             if contains_ascii_ci(&attr.value, "<script") {
                 self.flags.script_in_attribute = true;
@@ -181,7 +186,7 @@ impl MitigationAccumulator {
                     self.flags.script_in_nonced_script = true;
                 }
             }
-            if spec_html::tags::is_url_attribute(&attr.name) && attr.raw_value().contains('\n') {
+            if tags::is_url_attribute_atom(&attr.name) && attr.raw_value().contains('\n') {
                 self.flags.newline_in_url = true;
                 if attr.raw_value().contains('<') {
                     self.flags.newline_and_lt_in_url = true;

@@ -7,8 +7,10 @@
 
 use spec_html::dom::{Document, NodeId};
 use spec_html::tokenizer::Tag;
-use spec_html::ParseOutput;
+use spec_html::{Atom, ParseOutput};
 use std::cell::{Cell, OnceCell};
+
+const BODY: Atom = Atom::known("body");
 
 /// Which start tags the checkers can ever act on: tags carrying at least
 /// one attribute (DE3_1/DE3_2/DE3_3 and the §4.5 mitigation flags inspect
@@ -16,7 +18,7 @@ use std::cell::{Cell, OnceCell};
 /// else streams past without being kept. A kept tag shares its attribute
 /// list with the DOM, so keeping it copies no attribute.
 fn checker_relevant(tag: &Tag) -> bool {
-    !tag.attrs.is_empty() || tag.name == "body"
+    !tag.attrs.is_empty() || tag.name == BODY
 }
 
 /// Everything a checker may inspect about one page.

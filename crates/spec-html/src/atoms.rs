@@ -289,6 +289,19 @@ impl Atom {
         }
     }
 
+    /// Index into [`STATIC_ATOMS`] for known names, and `u16::MAX` (an
+    /// index no table name has, see `build_index`) for dynamic atoms. A
+    /// `match` over constant ids (`tree_builder::names`) is one integer
+    /// switch, and by the module invariant a dynamic atom can never equal
+    /// a listed name, so it takes the default arm.
+    #[inline]
+    pub(crate) fn id(&self) -> u16 {
+        match &self.0 {
+            Repr::Static(i) => *i,
+            Repr::Dyn(_) => u16::MAX,
+        }
+    }
+
     /// Index into [`STATIC_ATOMS`] for known names, `None` for dynamic
     /// atoms. Classification bitsets key on this.
     #[inline]

@@ -182,36 +182,22 @@ impl<'a> InputStream<'a> {
     /// normalization and can never carry preprocessing errors, so the run
     /// is returned as a borrowed slice of the source and appended wholesale
     /// by the tokenizer. Returns `""` when the next character needs the
-    /// scalar path.
-    #[inline]
+    /// scalar path. Always inlined, so a literal `delims` stays constant
+    /// through the scan.
+    #[inline(always)]
     pub fn take_plain_run(&mut self, delims: &[u8]) -> &'a str {
         let n = scan::plain_prefix_len(&self.src.as_bytes()[self.byte..], delims);
         self.advance_run(n)
     }
 
-    /// Consume and return the longest batchable run for the TagName state
-    /// (see [`scan::tag_name_prefix_len`]). Like plain runs, name-like runs
-    /// are printable ASCII: error-free, normalization-free, one byte per
+    /// Consume and return the longest batchable run of a name-like state
+    /// (TagName, AttributeName, unquoted AttributeValue; see
+    /// [`scan::name_prefix_len`]). Like plain runs, name-like runs are
+    /// printable ASCII: error-free, normalization-free, one byte per
     /// character.
-    #[inline]
-    pub fn take_tag_name_run(&mut self) -> &'a str {
-        let n = scan::tag_name_prefix_len(&self.src.as_bytes()[self.byte..]);
-        self.advance_run(n)
-    }
-
-    /// Consume and return the longest batchable run for the AttributeName
-    /// state (see [`scan::attr_name_prefix_len`]).
-    #[inline]
-    pub fn take_attr_name_run(&mut self) -> &'a str {
-        let n = scan::attr_name_prefix_len(&self.src.as_bytes()[self.byte..]);
-        self.advance_run(n)
-    }
-
-    /// Consume and return the longest batchable run for the unquoted
-    /// AttributeValue state (see [`scan::unquoted_value_prefix_len`]).
-    #[inline]
-    pub fn take_unquoted_value_run(&mut self) -> &'a str {
-        let n = scan::unquoted_value_prefix_len(&self.src.as_bytes()[self.byte..]);
+    #[inline(always)]
+    pub fn take_name_run(&mut self, delims: &[u8]) -> &'a str {
+        let n = scan::name_prefix_len(&self.src.as_bytes()[self.byte..], delims);
         self.advance_run(n)
     }
 

@@ -71,6 +71,11 @@ fn is_plain(b: u8, delims: &[u8]) -> bool {
 /// Length of the longest prefix of `bytes` consisting only of plain bytes
 /// (see the module docs). `delims` is the state's delimiter set, at most a
 /// few bytes; each extra delimiter costs three ALU ops per 8-byte word.
+///
+/// Always inlined: each tokenizer state passes its delimiters as a literal,
+/// so the per-delimiter loop unrolls into constant compares instead of
+/// walking a runtime slice for every word.
+#[inline(always)]
 pub fn plain_prefix_len(bytes: &[u8], delims: &[u8]) -> usize {
     let mut i = 0;
     let mut chunks = bytes.chunks_exact(8);
@@ -113,15 +118,23 @@ fn is_name_plain(b: u8, delims: &[u8]) -> bool {
     matches!(b, 0x21..=0x7E) && !delims.contains(&b)
 }
 
+/// Delimiters of the TagName state: `/` and `>` hand control back.
+pub const TAG_NAME_DELIMS: &[u8] = b"/>";
+
 /// Delimiters of the AttributeName state: `/`/`>` end the tag machinery,
 /// `=` separates the value, and `"`/`'`/`<` are in-name error characters
 /// the scalar path must report.
-const ATTR_NAME_DELIMS: &[u8] = b"/>=\"'<";
+pub const ATTR_NAME_DELIMS: &[u8] = b"/>=\"'<";
+
+/// Delimiters of the unquoted AttributeValue state: `&` starts a character
+/// reference, `>` closes the tag, and `"`/`'`/`<`/`=`/`` ` `` are in-value
+/// error characters.
+pub const UNQUOTED_VALUE_DELIMS: &[u8] = b"&>\"'<=`";
 
 /// Whether `b` can *start* an attribute name — used by the fused
 /// BeforeAttributeName fast path to decide it may open an attribute
 /// without bouncing through the scalar state machine. Exactly the bytes
-/// [`attr_name_prefix_len`] would batch.
+/// [`name_prefix_len`] batches with [`ATTR_NAME_DELIMS`].
 #[inline]
 pub fn is_attr_name_start(b: u8) -> bool {
     is_name_plain(b, ATTR_NAME_DELIMS)
@@ -131,6 +144,8 @@ pub fn is_attr_name_start(b: u8) -> bool {
 /// (TagName, AttributeName, unquoted AttributeValue). Stops at anything
 /// outside printable ASCII (controls, NUL, CR, DEL, non-ASCII — the bytes
 /// the preprocessor or state machine must see) and at every `delims` byte.
+/// Always inlined, like [`plain_prefix_len`] and for the same reason.
+#[inline(always)]
 pub fn name_prefix_len(bytes: &[u8], delims: &[u8]) -> usize {
     let mut i = 0;
     let mut chunks = bytes.chunks_exact(8);
@@ -153,28 +168,6 @@ pub fn name_prefix_len(bytes: &[u8], delims: &[u8]) -> usize {
         i += 1;
     }
     bytes.len()
-}
-
-/// [`name_prefix_len`] for the TagName state: `/` and `>` hand control
-/// back.
-#[inline]
-pub fn tag_name_prefix_len(bytes: &[u8]) -> usize {
-    name_prefix_len(bytes, b"/>")
-}
-
-/// [`name_prefix_len`] for the AttributeName state (see
-/// [`ATTR_NAME_DELIMS`]).
-#[inline]
-pub fn attr_name_prefix_len(bytes: &[u8]) -> usize {
-    name_prefix_len(bytes, ATTR_NAME_DELIMS)
-}
-
-/// [`name_prefix_len`] for the unquoted AttributeValue state: `&` starts a
-/// character reference, `>` closes the tag, and `"`/`'`/`<`/`=`/`` ` `` are
-/// in-value error characters.
-#[inline]
-pub fn unquoted_value_prefix_len(bytes: &[u8]) -> usize {
-    name_prefix_len(bytes, b"&>\"'<=`")
 }
 
 #[cfg(test)]
@@ -271,16 +264,18 @@ mod tests {
 
     #[test]
     fn name_scan_basics() {
-        assert_eq!(tag_name_prefix_len(b"div>"), 3);
-        assert_eq!(tag_name_prefix_len(b"div id=x>"), 3); // stops at space
-        assert_eq!(tag_name_prefix_len(b"br/>"), 2);
-        assert_eq!(tag_name_prefix_len(b"DIV>"), 3); // batched, lowercased in place
-        assert_eq!(tag_name_prefix_len(b"x-widget attr"), 8);
+        let tag_name = |b: &[u8]| name_prefix_len(b, TAG_NAME_DELIMS);
+        assert_eq!(tag_name(b"div>"), 3);
+        assert_eq!(tag_name(b"div id=x>"), 3); // stops at space
+        assert_eq!(tag_name(b"br/>"), 2);
+        assert_eq!(tag_name(b"DIV>"), 3); // batched, lowercased in place
+        assert_eq!(tag_name(b"x-widget attr"), 8);
 
-        assert_eq!(attr_name_prefix_len(b"data-key=1"), 8);
-        assert_eq!(attr_name_prefix_len(b"checked>"), 7);
-        assert_eq!(attr_name_prefix_len(b"a\"b"), 1); // error char -> scalar
-        assert_eq!(attr_name_prefix_len(b"Xyz"), 3); // batched, lowercased in place
+        let attr_name = |b: &[u8]| name_prefix_len(b, ATTR_NAME_DELIMS);
+        assert_eq!(attr_name(b"data-key=1"), 8);
+        assert_eq!(attr_name(b"checked>"), 7);
+        assert_eq!(attr_name(b"a\"b"), 1); // error char -> scalar
+        assert_eq!(attr_name(b"Xyz"), 3); // batched, lowercased in place
 
         assert!(is_attr_name_start(b'a'));
         assert!(is_attr_name_start(b'D'));
@@ -290,18 +285,18 @@ mod tests {
         assert!(!is_attr_name_start(b'/'));
         assert!(!is_attr_name_start(0x80));
 
-        assert_eq!(unquoted_value_prefix_len(b"v42 next"), 3);
-        assert_eq!(unquoted_value_prefix_len(b"UPPER-ok>"), 8); // case kept
-        assert_eq!(unquoted_value_prefix_len(b"a&amp;b"), 1);
-        assert_eq!(unquoted_value_prefix_len(b"q`r"), 1);
+        let unquoted = |b: &[u8]| name_prefix_len(b, UNQUOTED_VALUE_DELIMS);
+        assert_eq!(unquoted(b"v42 next"), 3);
+        assert_eq!(unquoted(b"UPPER-ok>"), 8); // case kept
+        assert_eq!(unquoted(b"a&amp;b"), 1);
+        assert_eq!(unquoted(b"q`r"), 1);
     }
 
     #[test]
     fn name_scan_matches_reference_on_dense_byte_sweep() {
         // Every byte value at every in-word alignment, for each of the
         // three delimiter configurations the tokenizer uses.
-        let configs: &[&[u8]] = &[b"/>", b"/>=\"'<", b"&>\"'<=`"];
-        for &delims in configs {
+        for delims in [TAG_NAME_DELIMS, ATTR_NAME_DELIMS, UNQUOTED_VALUE_DELIMS] {
             for b in 0u8..=255 {
                 for pos in 0..17 {
                     let mut v = vec![b'p'; 17];
@@ -327,7 +322,7 @@ mod tests {
                     let mut v = vec![b'p'; 10];
                     v[pos] = a;
                     v[pos + 1] = b;
-                    for &delims in &[&b"/>"[..], &b"&>\"'<=`"[..]] {
+                    for delims in [TAG_NAME_DELIMS, UNQUOTED_VALUE_DELIMS] {
                         assert_eq!(
                             name_prefix_len(&v, delims),
                             name_reference(&v, delims),

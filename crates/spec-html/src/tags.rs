@@ -57,42 +57,67 @@ struct ClassSets {
     svg_only: AtomSet,
     mathml_only: AtomSet,
     url_attribute: AtomSet,
-    /// Static-id → static-id map for the SVG camelCase tag fixups (both
-    /// spellings are in the table by construction).
+    /// Static-id → static-id maps for the SVG camelCase tag and attribute
+    /// fixups (both spellings are in the table by construction).
     svg_fixup: Box<[u16]>,
+    svg_attr_fixup: Box<[u16]>,
+}
+
+/// The static-id → static-id map of a fixup table: each name's adjusted
+/// spelling, or the name itself.
+fn fixup_map(fixup: fn(&str) -> Option<&'static str>) -> Box<[u16]> {
+    STATIC_ATOMS
+        .iter()
+        .enumerate()
+        .map(|(id, name)| match fixup(name) {
+            Some(fixed) => match Atom::from_name(fixed).static_id() {
+                Some(fixed_id) => fixed_id as u16,
+                None => unreachable!("fixup target {fixed:?} missing from STATIC_ATOMS"),
+            },
+            None => id as u16,
+        })
+        .collect()
+}
+
+/// Apply a fixup through its map: a lookup for a static atom. A dynamic
+/// atom falls back to the string table (every fixup source is in
+/// [`STATIC_ATOMS`], so it comes back unchanged).
+fn fixup_atom(map: &[u16], fixup: fn(&str) -> Option<&'static str>, name: &Atom) -> Atom {
+    match name.static_id() {
+        Some(id) => {
+            let fixed = map[id];
+            if fixed as usize == id {
+                name.clone()
+            } else {
+                Atom::from_static_id(fixed)
+            }
+        }
+        None => match fixup(name.as_str()) {
+            Some(fixed) => Atom::from_name(fixed),
+            None => name.clone(),
+        },
+    }
 }
 
 fn sets() -> &'static ClassSets {
     static SETS: OnceLock<ClassSets> = OnceLock::new();
-    SETS.get_or_init(|| {
-        let svg_fixup = STATIC_ATOMS
-            .iter()
-            .enumerate()
-            .map(|(id, name)| match svg_tag_fixup(name) {
-                Some(fixed) => match Atom::from_name(fixed).static_id() {
-                    Some(fixed_id) => fixed_id as u16,
-                    None => unreachable!("fixup target {fixed:?} missing from STATIC_ATOMS"),
-                },
-                None => id as u16,
-            })
-            .collect();
-        ClassSets {
-            void: AtomSet::build(is_void),
-            special: AtomSet::build(is_special),
-            formatting: AtomSet::build(is_formatting),
-            head_content: AtomSet::build(is_head_content),
-            closes_p: AtomSet::build(closes_p),
-            implied_end: AtomSet::build(implied_end_tag),
-            rcdata: AtomSet::build(is_rcdata),
-            rawtext: AtomSet::build(is_rawtext),
-            foreign_breakout: AtomSet::build(is_foreign_breakout),
-            mathml_text_integration: AtomSet::build(is_mathml_text_integration),
-            svg_html_integration: AtomSet::build(is_svg_html_integration),
-            svg_only: AtomSet::build(is_svg_only),
-            mathml_only: AtomSet::build(is_mathml_only),
-            url_attribute: AtomSet::build(is_url_attribute),
-            svg_fixup,
-        }
+    SETS.get_or_init(|| ClassSets {
+        void: AtomSet::build(is_void),
+        special: AtomSet::build(is_special),
+        formatting: AtomSet::build(is_formatting),
+        head_content: AtomSet::build(is_head_content),
+        closes_p: AtomSet::build(closes_p),
+        implied_end: AtomSet::build(implied_end_tag),
+        rcdata: AtomSet::build(is_rcdata),
+        rawtext: AtomSet::build(is_rawtext),
+        foreign_breakout: AtomSet::build(is_foreign_breakout),
+        mathml_text_integration: AtomSet::build(is_mathml_text_integration),
+        svg_html_integration: AtomSet::build(is_svg_html_integration),
+        svg_only: AtomSet::build(is_svg_only),
+        mathml_only: AtomSet::build(is_mathml_only),
+        url_attribute: AtomSet::build(is_url_attribute),
+        svg_fixup: fixup_map(svg_tag_fixup),
+        svg_attr_fixup: fixup_map(svg_attr_fixup),
     })
 }
 
@@ -169,20 +194,13 @@ atom_predicate!(
 /// O(1) form of [`svg_tag_fixup`]: the adjusted atom for a lowercased SVG
 /// tag name, or a clone of the input when no fixup applies.
 pub fn svg_tag_fixup_atom(name: &Atom) -> Atom {
-    match name.static_id() {
-        Some(id) => {
-            let fixed = sets().svg_fixup[id];
-            if fixed as usize == id {
-                name.clone()
-            } else {
-                Atom::from_static_id(fixed)
-            }
-        }
-        None => match svg_tag_fixup(name.as_str()) {
-            Some(fixed) => Atom::from_name(fixed),
-            None => name.clone(),
-        },
-    }
+    fixup_atom(&sets().svg_fixup, svg_tag_fixup, name)
+}
+
+/// O(1) form of [`svg_attr_fixup`]: the adjusted atom for a lowercased
+/// attribute name on an SVG element, or a clone of the input.
+pub fn svg_attr_fixup_atom(name: &Atom) -> Atom {
+    fixup_atom(&sets().svg_attr_fixup, svg_attr_fixup, name)
 }
 
 /// Elements with no end tag at all (§13.1.2 "void elements").
@@ -574,6 +592,73 @@ pub fn svg_tag_fixup(lower: &str) -> Option<&'static str> {
     })
 }
 
+/// The "adjust SVG attributes" table of §13.2.6.5: the tokenizer lowercases
+/// attribute names; on an SVG element the parser restores these 58
+/// mixed-case spellings.
+pub fn svg_attr_fixup(lower: &str) -> Option<&'static str> {
+    Some(match lower {
+        "attributename" => "attributeName",
+        "attributetype" => "attributeType",
+        "basefrequency" => "baseFrequency",
+        "baseprofile" => "baseProfile",
+        "calcmode" => "calcMode",
+        "clippathunits" => "clipPathUnits",
+        "diffuseconstant" => "diffuseConstant",
+        "edgemode" => "edgeMode",
+        "filterunits" => "filterUnits",
+        "glyphref" => "glyphRef",
+        "gradienttransform" => "gradientTransform",
+        "gradientunits" => "gradientUnits",
+        "kernelmatrix" => "kernelMatrix",
+        "kernelunitlength" => "kernelUnitLength",
+        "keypoints" => "keyPoints",
+        "keysplines" => "keySplines",
+        "keytimes" => "keyTimes",
+        "lengthadjust" => "lengthAdjust",
+        "limitingconeangle" => "limitingConeAngle",
+        "markerheight" => "markerHeight",
+        "markerunits" => "markerUnits",
+        "markerwidth" => "markerWidth",
+        "maskcontentunits" => "maskContentUnits",
+        "maskunits" => "maskUnits",
+        "numoctaves" => "numOctaves",
+        "pathlength" => "pathLength",
+        "patterncontentunits" => "patternContentUnits",
+        "patterntransform" => "patternTransform",
+        "patternunits" => "patternUnits",
+        "pointsatx" => "pointsAtX",
+        "pointsaty" => "pointsAtY",
+        "pointsatz" => "pointsAtZ",
+        "preservealpha" => "preserveAlpha",
+        "preserveaspectratio" => "preserveAspectRatio",
+        "primitiveunits" => "primitiveUnits",
+        "refx" => "refX",
+        "refy" => "refY",
+        "repeatcount" => "repeatCount",
+        "repeatdur" => "repeatDur",
+        "requiredextensions" => "requiredExtensions",
+        "requiredfeatures" => "requiredFeatures",
+        "specularconstant" => "specularConstant",
+        "specularexponent" => "specularExponent",
+        "spreadmethod" => "spreadMethod",
+        "startoffset" => "startOffset",
+        "stddeviation" => "stdDeviation",
+        "stitchtiles" => "stitchTiles",
+        "surfacescale" => "surfaceScale",
+        "systemlanguage" => "systemLanguage",
+        "tablevalues" => "tableValues",
+        "targetx" => "targetX",
+        "targety" => "targetY",
+        "textlength" => "textLength",
+        "viewbox" => "viewBox",
+        "viewtarget" => "viewTarget",
+        "xchannelselector" => "xChannelSelector",
+        "ychannelselector" => "yChannelSelector",
+        "zoomandpan" => "zoomAndPan",
+        _ => return None,
+    })
+}
+
 /// Attribute names the paper's DE3_1 / mitigation analyses treat as URLs
 /// (§4.5 and Mike West's dangling-markup mitigation).
 pub fn is_url_attribute(name: &str) -> bool {
@@ -629,6 +714,20 @@ mod tests {
         assert_eq!(svg_tag_fixup("clippath"), Some("clipPath"));
         assert_eq!(svg_tag_fixup("foreignobject"), Some("foreignObject"));
         assert_eq!(svg_tag_fixup("rect"), None);
+    }
+
+    #[test]
+    fn svg_attr_map_matches_the_table_for_every_static_name() {
+        let mut renamed = 0;
+        for name in STATIC_ATOMS {
+            let expected = svg_attr_fixup(name).unwrap_or(name);
+            assert_eq!(svg_attr_fixup_atom(&Atom::from_name(name)).as_str(), expected, "{name}");
+            renamed += usize::from(expected != *name);
+        }
+        // Every one of the spec's 58 source spellings is a static name.
+        assert_eq!(renamed, 58);
+        assert_eq!(svg_attr_fixup("clippath"), None);
+        assert_eq!(svg_attr_fixup_atom(&Atom::from_name("x-unknown")).as_str(), "x-unknown");
     }
 
     #[test]

@@ -18,7 +18,6 @@ use crate::entities;
 use crate::errors::{ErrorCode, ParseError};
 use crate::preprocess::InputStream;
 use crate::scan;
-use std::collections::VecDeque;
 
 /// Tokenizer states (§13.2.5.1–80). Names mirror the specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +154,11 @@ pub struct Tokenizer<'a> {
     state: State,
     return_state: State,
     errors: Vec<ParseError>,
-    pending: VecDeque<Token>,
+    /// The handoff to [`Tokenizer::next_token`]. One step emits at most a
+    /// flushed text run and then one token (EOF is `eof_done`), so a slot
+    /// of each holds it; `next_token` drains both before it steps again.
+    ready_text: Option<String>,
+    ready: Option<Token>,
     text_buf: String,
 
     tag_kind: TagKind,
@@ -210,7 +213,8 @@ impl<'a> Tokenizer<'a> {
             state: State::Data,
             return_state: State::Data,
             errors: Vec::new(),
-            pending: VecDeque::new(),
+            ready_text: None,
+            ready: None,
             text_buf: String::new(),
             tag_kind: TagKind::Start,
             tag_name: String::new(),
@@ -237,7 +241,10 @@ impl<'a> Tokenizer<'a> {
     /// Consume input until the next token is available.
     pub fn next_token(&mut self) -> Token {
         loop {
-            if let Some(t) = self.pending.pop_front() {
+            if let Some(text) = self.ready_text.take() {
+                return Token::Characters(text);
+            }
+            if let Some(t) = self.ready.take() {
                 return t;
             }
             if self.eof_done {
@@ -334,41 +341,55 @@ impl<'a> Tokenizer<'a> {
 
     fn flush_text(&mut self) {
         if !self.text_buf.is_empty() {
-            let s = std::mem::take(&mut self.text_buf);
-            self.pending.push_back(Token::Characters(s));
+            debug_assert!(
+                self.ready_text.is_none() && self.ready.is_none(),
+                "a step flushes one text run, before its token"
+            );
+            self.ready_text = Some(std::mem::take(&mut self.text_buf));
         }
+    }
+
+    /// Hand `token` over, after the text that precedes it.
+    fn emit(&mut self, token: Token) {
+        self.flush_text();
+        debug_assert!(self.ready.is_none(), "a step emits one token");
+        self.ready = Some(token);
     }
 
     fn emit_eof(&mut self) {
         self.flush_text();
-        self.pending.push_back(Token::Eof);
         self.eof_done = true;
     }
 
     fn emit_comment(&mut self) {
-        self.flush_text();
         let c = std::mem::take(&mut self.comment);
-        self.pending.push_back(Token::Comment(c));
+        self.emit(Token::Comment(c));
     }
 
     fn emit_doctype(&mut self) {
-        self.flush_text();
         let d = self.doctype.take().unwrap_or_default();
-        self.pending.push_back(Token::Doctype(d));
+        self.emit(Token::Doctype(d));
     }
 
     // ----- tag construction -----
 
+    /// Scalar entry: the first name character was just consumed, so the
+    /// `<` is one or two chars further back (`</` for end tags).
     fn new_tag(&mut self, kind: TagKind) {
+        let pos = self.stream.chars_consumed();
+        self.open_tag(kind, pos.saturating_sub(if kind == TagKind::End { 3 } else { 2 }));
+    }
+
+    /// Start a tag whose `<` is at char offset `offset`; shared with the
+    /// tag lane, which opens the tag before consuming its first letter.
+    fn open_tag(&mut self, kind: TagKind, offset: usize) {
         self.tag_kind = kind;
         self.tag_name.clear();
         self.tag_self_closing = false;
         self.tag_attrs.clear();
         self.tag_dup_attrs.clear();
         self.cur_attr.active = false;
-        // The `<` is one or two chars back (`</` for end tags).
-        let pos = self.stream.chars_consumed();
-        self.tag_offset = pos.saturating_sub(if kind == TagKind::End { 3 } else { 2 });
+        self.tag_offset = offset;
     }
 
     /// Scalar entry: the first name character was just consumed, so the
@@ -448,7 +469,6 @@ impl<'a> Tokenizer<'a> {
 
     fn emit_tag(&mut self) {
         self.finish_cur_attr();
-        self.flush_text();
         let name = if self.last_tag_atom.as_str() == self.tag_name {
             self.last_tag_atom.clone()
         } else {
@@ -468,7 +488,7 @@ impl<'a> Tokenizer<'a> {
             TagKind::Start => {
                 self.last_start_tag.clear();
                 self.last_start_tag.push_str(&tag.name);
-                self.pending.push_back(Token::StartTag(tag));
+                self.emit(Token::StartTag(tag));
             }
             TagKind::End => {
                 if !tag.attrs.is_empty() || !tag.duplicate_attrs.is_empty() {
@@ -477,7 +497,7 @@ impl<'a> Tokenizer<'a> {
                 if tag.self_closing {
                     self.error(ErrorCode::EndTagWithTrailingSolidus);
                 }
-                self.pending.push_back(Token::EndTag(tag));
+                self.emit(Token::EndTag(tag));
             }
         }
     }
@@ -574,55 +594,91 @@ impl<'a> Tokenizer<'a> {
     /// characters at once (found with a SWAR byte scan, see [`crate::scan`])
     /// and append it as a single slice. Returns `true` if it made progress;
     /// anything it could not prove inert (delimiters, NUL, CR, controls,
-    /// non-ASCII) is left for the scalar machine.
+    /// non-ASCII) is left for the scalar machine. Each state passes its
+    /// delimiter set as a literal to the inlined scanner.
     ///
     /// On top of the runs, the tag states *fuse* the single-character
     /// transitions that the spec defines with no parse error and no side
-    /// effect beyond a state change — the `=` after an attribute name, the
-    /// quotes around a value, the space between attributes, the closing
-    /// `>`. Each fused byte is checked with [`InputStream::eat_byte`] and
-    /// falls back to the scalar machine when absent, so every error path
-    /// (EOF, NUL, CR, `<` in names, missing whitespace, ...) still takes
-    /// the spec's per-character arms. The stream-equivalence tests compare
-    /// this path against the scalar reference token-for-token and
-    /// error-for-error.
+    /// effect beyond a state change — the `<` and `</` that open a tag, the
+    /// `=` after an attribute name, the quotes around a value, the space
+    /// between attributes, the closing `/>` or `>`. Each fused byte is
+    /// checked before it is consumed and falls back to the scalar machine
+    /// when absent, so every error path (EOF, NUL, CR, `<` in names,
+    /// missing whitespace, ...) still takes the spec's per-character arms.
+    /// The stream-equivalence tests compare this path against the scalar
+    /// reference token-for-token and error-for-error.
     fn step_batched(&mut self) -> bool {
-        // The text-like arm stays inline and first: it is the whole fast
-        // path for document content, and keeping the tag-state machinery in
-        // separate functions keeps this function small enough to inline
-        // into `step`.
-        let delims: &[u8] = match self.state {
-            State::Data | State::Rcdata => b"&<",
-            State::Rawtext | State::ScriptData => b"<",
-            State::Plaintext => &[],
-            State::Comment => b"<-",
-            State::TagName => return self.step_batched_tag_name(),
-            State::BeforeAttributeName | State::AfterAttributeName => {
-                return self.step_batched_attr_start()
+        match self.state {
+            State::Data => self.step_batched_data(),
+            State::Rcdata => push_run(&mut self.text_buf, self.stream.take_plain_run(b"&<")),
+            State::Rawtext | State::ScriptData => {
+                push_run(&mut self.text_buf, self.stream.take_plain_run(b"<"))
             }
-            State::AttributeName => return self.step_batched_attr_name(),
-            State::AttributeValueUnquoted => return self.step_batched_unquoted_value(),
-            State::AttributeValueDouble | State::AttributeValueSingle => {
-                return self.step_batched_quoted_value()
-            }
-            _ => return false,
+            State::Plaintext => push_run(&mut self.text_buf, self.stream.take_plain_run(b"")),
+            State::Comment => push_run(&mut self.comment, self.stream.take_plain_run(b"<-")),
+            State::TagName
+            | State::BeforeAttributeName
+            | State::AfterAttributeName
+            | State::AttributeName
+            | State::AttributeValueUnquoted
+            | State::AttributeValueDouble
+            | State::AttributeValueSingle
+            | State::SelfClosingStartTag => self.tag_lane(),
+            _ => false,
+        }
+    }
+
+    /// Batched Data: the text run, then the tag lane when the run stops at a
+    /// `<` or `</` followed by an ASCII letter — the only bytes after which
+    /// TagOpen and EndTagOpen open a tag, error-free. The tag's offset is
+    /// the `<`'s, as the scalar path computes it.
+    fn step_batched_data(&mut self) -> bool {
+        let run = self.stream.take_plain_run(b"&<");
+        self.text_buf.push_str(run);
+        let (kind, opener) = match self.stream.rest().as_bytes() {
+            [b'<', c, ..] if c.is_ascii_alphabetic() => (TagKind::Start, 1),
+            [b'<', b'/', c, ..] if c.is_ascii_alphabetic() => (TagKind::End, 2),
+            _ => return !run.is_empty(),
         };
-        let run = self.stream.take_plain_run(delims);
-        if run.is_empty() {
-            return false;
-        }
-        if self.state == State::Comment {
-            self.comment.push_str(run);
-        } else {
-            self.text_buf.push_str(run);
-        }
+        let offset = self.stream.chars_consumed();
+        self.stream.advance_ascii(opener);
+        self.open_tag(kind, offset);
+        self.state = State::TagName;
+        self.tag_lane();
         true
+    }
+
+    /// The tag lane: run the batched tag states back to back until the tag
+    /// is emitted (the state is Data again) or a byte needs the scalar
+    /// machine. Returning right after the emit lets the tree builder's
+    /// feedback (RCDATA/RAWTEXT/script state, CDATA) land before the next
+    /// character is read.
+    fn tag_lane(&mut self) -> bool {
+        let mut progressed = false;
+        loop {
+            let step = match self.state {
+                State::TagName => self.step_batched_tag_name(),
+                State::BeforeAttributeName | State::AfterAttributeName => {
+                    self.step_batched_attr_start()
+                }
+                State::AttributeName => self.step_batched_attr_name(),
+                State::AttributeValueUnquoted => self.step_batched_unquoted_value(),
+                State::AttributeValueDouble => self.step_batched_quoted_value(b'"'),
+                State::AttributeValueSingle => self.step_batched_quoted_value(b'\''),
+                State::SelfClosingStartTag => self.step_batched_self_closing(),
+                _ => return progressed,
+            };
+            if !step {
+                return progressed;
+            }
+            progressed = true;
+        }
     }
 
     /// Batched TagName: append the lowercased name run, then fuse the
     /// error-free exits (space, `>`, `/`).
     fn step_batched_tag_name(&mut self) -> bool {
-        let run = self.stream.take_tag_name_run();
+        let run = self.stream.take_name_run(scan::TAG_NAME_DELIMS);
         if run.is_empty() {
             return false;
         }
@@ -641,9 +697,9 @@ impl<'a> Tokenizer<'a> {
     }
 
     /// Batched BeforeAttributeName / AfterAttributeName: skip the space run,
-    /// then open the next attribute when a name-start byte follows. A
-    /// name-start byte begins an attribute in both states, error-free;
-    /// everything else (`/`, `>`, `=`, EOF, ...) stays scalar.
+    /// then open the next attribute when a name-start byte follows, or take
+    /// the `/` or `>` that both states handle error-free. Everything else
+    /// (`=`, EOF, ...) stays scalar.
     fn step_batched_attr_start(&mut self) -> bool {
         let mut progressed = false;
         while self.stream.eat_byte(b' ') {
@@ -652,6 +708,15 @@ impl<'a> Tokenizer<'a> {
         if self.stream.peek_byte().is_some_and(scan::is_attr_name_start) {
             self.start_new_attr_at(self.stream.chars_consumed());
             self.state = State::AttributeName;
+            return true;
+        }
+        if self.stream.eat_byte(b'>') {
+            self.state = State::Data;
+            self.emit_tag();
+            return true;
+        }
+        if self.stream.eat_byte(b'/') {
+            self.state = State::SelfClosingStartTag;
             return true;
         }
         progressed
@@ -665,7 +730,7 @@ impl<'a> Tokenizer<'a> {
         if !self.cur_attr.active {
             return false;
         }
-        let run = self.stream.take_attr_name_run();
+        let run = self.stream.take_name_run(scan::ATTR_NAME_DELIMS);
         let progressed = !run.is_empty();
         if progressed {
             let start = self.cur_attr.name.len();
@@ -708,7 +773,7 @@ impl<'a> Tokenizer<'a> {
         if !self.cur_attr.active {
             return false;
         }
-        let run = self.stream.take_unquoted_value_run();
+        let run = self.stream.take_name_run(scan::UNQUOTED_VALUE_DELIMS);
         let progressed = !run.is_empty();
         if progressed {
             self.cur_attr.value.push_str(run);
@@ -732,13 +797,15 @@ impl<'a> Tokenizer<'a> {
     /// closing quote and the error-free AfterAttributeValueQuoted exits
     /// (space, `>`, `/`); anything else reconsumes there scalar
     /// (missing-whitespace error, EOF).
-    fn step_batched_quoted_value(&mut self) -> bool {
+    fn step_batched_quoted_value(&mut self, quote: u8) -> bool {
         if !self.cur_attr.active {
             return false;
         }
-        let (delims, quote): (&[u8], u8) =
-            if self.state == State::AttributeValueDouble { (b"\"&", b'"') } else { (b"'&", b'\'') };
-        let run = self.stream.take_plain_run(delims);
+        let run = if quote == b'"' {
+            self.stream.take_plain_run(b"\"&")
+        } else {
+            self.stream.take_plain_run(b"'&")
+        };
         let progressed = !run.is_empty();
         if progressed {
             self.cur_attr.value.push_str(run);
@@ -760,6 +827,18 @@ impl<'a> Tokenizer<'a> {
             return true;
         }
         progressed
+    }
+
+    /// Batched SelfClosingStartTag: the `>` of `/>`; anything else is the
+    /// scalar `unexpected-solidus-in-tag` path.
+    fn step_batched_self_closing(&mut self) -> bool {
+        if !self.stream.eat_byte(b'>') {
+            return false;
+        }
+        self.tag_self_closing = true;
+        self.state = State::Data;
+        self.emit_tag();
+        true
     }
 
     #[allow(clippy::too_many_lines)]
@@ -2154,6 +2233,13 @@ impl<'a> Tokenizer<'a> {
         rest.len() >= lower.len()
             && rest.iter().zip(lower.as_bytes()).all(|(g, p)| g.to_ascii_lowercase() == *p)
     }
+}
+
+/// Append a batched run to `buf`; whether it made progress.
+#[inline]
+fn push_run(buf: &mut String, run: &str) -> bool {
+    buf.push_str(run);
+    !run.is_empty()
 }
 
 #[cfg(test)]

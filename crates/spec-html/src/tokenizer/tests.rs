@@ -480,6 +480,38 @@ fn allow_cdata_pass_through() {
 
 // --- deeper edge-case coverage ---
 
+/// The tag lane's exits: each place it opens a tag from Data, hands a byte
+/// to the scalar machine, or stops after the emitted `>` so that the
+/// content-model feedback lands first. Tokens (with tag and attribute
+/// offsets) and errors (codes and offsets) must equal the pure spec
+/// machine's.
+#[test]
+fn tag_lane_matches_the_scalar_machine_at_its_exits() {
+    for input in [
+        "<",
+        "</",
+        "<a",
+        "</a",
+        "</>",
+        "<1",
+        "a<b",
+        "<a<b>",
+        "</a b=c>",
+        "<a/>",
+        "<A HREF=X>",
+        "<p>&amp;<b>",
+        "x<!--c-->",
+        "<?x>",
+        "<a\r\nb=c>",
+        "<é>",
+        "<p a=\"x",
+        "<title>a<b</title>",
+        "<script>x</script>",
+    ] {
+        assert_eq!(crate::tokenize(input), crate::tokenize_scalar(input), "input {input:?}");
+    }
+}
+
 mod edge_cases {
     use super::*;
 

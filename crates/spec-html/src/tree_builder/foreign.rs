@@ -7,7 +7,7 @@
 //! RAWTEXT-style elements like `<style>` parse differently in foreign
 //! namespaces — comments inside them are real comments, not CSS text.
 
-use super::{Builder, Ctl, TreeEventKind};
+use super::{names, Builder, Ctl, TreeEventKind};
 use crate::atoms::Atom;
 use crate::dom::Namespace;
 use crate::tags;
@@ -31,7 +31,7 @@ impl Builder {
         // mglyph/malignmark start tags.
         if ns == Namespace::MathMl && tags::is_mathml_text_integration_atom(&name) {
             match token {
-                Token::StartTag(t) if !matches!(t.name.as_str(), "mglyph" | "malignmark") => {
+                Token::StartTag(t) if !matches!(t.name.id(), names::MGLYPH | names::MALIGNMARK) => {
                     return false;
                 }
                 Token::Characters(_) => return false,

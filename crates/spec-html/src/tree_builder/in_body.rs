@@ -4,7 +4,7 @@
 //! pointer (DE4), the `<table>` hand-off (HF4), and the foreign-content
 //! entry points (HF5 / mXSS).
 
-use super::{is_html_whitespace, Builder, Class, Ctl, InsertionMode, TreeEventKind};
+use super::{is_html_whitespace, names, Builder, Class, Ctl, InsertionMode, TreeEventKind};
 use crate::atoms::{atom, Atom};
 use crate::dom::Namespace;
 use crate::tags;
@@ -23,7 +23,7 @@ impl Builder {
                 if s.is_empty() {
                     return Ctl::Done;
                 }
-                if s.chars().any(|c| !is_html_whitespace(c)) {
+                if self.frameset_ok && s.chars().any(|c| !is_html_whitespace(c)) {
                     self.frameset_ok = false;
                 }
                 self.reconstruct_formatting();
@@ -46,14 +46,22 @@ impl Builder {
 
     #[allow(clippy::too_many_lines)]
     fn in_body_start(&mut self, tag: &Tag, token: &Token, tok: &mut Tokenizer<'_>) -> Ctl {
-        match tag.name.as_str() {
-            "html" => {
+        match tag.name.id() {
+            names::HTML => {
                 self.merge_html_attrs(tag);
                 Ctl::Done
             }
-            "base" | "basefont" | "bgsound" | "link" | "meta" | "noframes" | "script" | "style"
-            | "template" | "title" => self.in_head(token.clone(), tok),
-            "body" => {
+            names::BASE
+            | names::BASEFONT
+            | names::BGSOUND
+            | names::LINK
+            | names::META
+            | names::NOFRAMES
+            | names::SCRIPT
+            | names::STYLE
+            | names::TEMPLATE
+            | names::TITLE => self.in_head(token.clone(), tok),
+            names::BODY => {
                 // HF3: merge the second body's attributes.
                 let body = self.open.get(1);
                 if let Some(body) = body.filter(|&b| self.doc.is_html(b, "body")) {
@@ -81,30 +89,31 @@ impl Builder {
                 }
                 Ctl::Done
             }
-            "frameset" => {
+            names::FRAMESET => {
                 // Only honoured when frameset_ok and the body can be
                 // replaced; modern pages never hit the honoured path.
                 self.event(TreeEventKind::StrayStartTag { tag: "frameset".into() });
                 Ctl::Done
             }
-            name if tags::closes_p_atom(&tag.name)
+            id if tags::closes_p_atom(&tag.name)
                 && !matches!(
-                    name,
-                    "li" | "dd"
-                        | "dt"
-                        | "table"
-                        | "hr"
-                        | "form"
-                        | "plaintext"
-                        | "xmp"
-                        | "pre"
-                        | "listing"
-                        | "h1"
-                        | "h2"
-                        | "h3"
-                        | "h4"
-                        | "h5"
-                        | "h6"
+                    id,
+                    names::LI
+                        | names::DD
+                        | names::DT
+                        | names::TABLE
+                        | names::HR
+                        | names::FORM
+                        | names::PLAINTEXT
+                        | names::XMP
+                        | names::PRE
+                        | names::LISTING
+                        | names::H1
+                        | names::H2
+                        | names::H3
+                        | names::H4
+                        | names::H5
+                        | names::H6
                 ) =>
             {
                 if self.open.in_button_scope(&atom!("p")) {
@@ -114,7 +123,7 @@ impl Builder {
                 self.check_self_closing(tag);
                 Ctl::Done
             }
-            "h1" | "h2" | "h3" | "h4" | "h5" | "h6" => {
+            names::H1 | names::H2 | names::H3 | names::H4 | names::H5 | names::H6 => {
                 if self.open.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
@@ -125,7 +134,7 @@ impl Builder {
                 self.insert_html(tag);
                 Ctl::Done
             }
-            "pre" | "listing" => {
+            names::PRE | names::LISTING => {
                 if self.open.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
@@ -134,7 +143,7 @@ impl Builder {
                 self.frameset_ok = false;
                 Ctl::Done
             }
-            "form" => {
+            names::FORM => {
                 if self.form.is_some() && !self.open.has_element(&atom!("template")) {
                     // DE4: the nested form start tag is ignored outright.
                     self.event(TreeEventKind::NestedFormIgnored);
@@ -149,7 +158,7 @@ impl Builder {
                 }
                 Ctl::Done
             }
-            "li" => {
+            names::LI => {
                 self.frameset_ok = false;
                 self.close_list_item(&[atom!("li")]);
                 if self.open.in_button_scope(&atom!("p")) {
@@ -158,7 +167,7 @@ impl Builder {
                 self.insert_html(tag);
                 Ctl::Done
             }
-            "dd" | "dt" => {
+            names::DD | names::DT => {
                 self.frameset_ok = false;
                 self.close_list_item(&[atom!("dd"), atom!("dt")]);
                 if self.open.in_button_scope(&atom!("p")) {
@@ -167,7 +176,7 @@ impl Builder {
                 self.insert_html(tag);
                 Ctl::Done
             }
-            "plaintext" => {
+            names::PLAINTEXT => {
                 if self.open.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
@@ -175,7 +184,7 @@ impl Builder {
                 tok.set_state(tokenizer::State::Plaintext);
                 Ctl::Done
             }
-            "button" => {
+            names::BUTTON => {
                 if self.open.in_scope(&atom!("button")) {
                     self.event(TreeEventKind::StrayStartTag { tag: "button".into() });
                     self.generate_implied_end_tags(None);
@@ -186,7 +195,7 @@ impl Builder {
                 self.frameset_ok = false;
                 Ctl::Done
             }
-            "a" => {
+            names::A => {
                 // An open <a> since the last marker is a parse error: run
                 // the adoption agency, then proceed.
                 let open_a = self.formatting.iter().rev().find_map(|e| match e {
@@ -207,14 +216,24 @@ impl Builder {
                 self.push_formatting(id);
                 Ctl::Done
             }
-            "b" | "big" | "code" | "em" | "font" | "i" | "s" | "small" | "strike" | "strong"
-            | "tt" | "u" => {
+            names::B
+            | names::BIG
+            | names::CODE
+            | names::EM
+            | names::FONT
+            | names::I
+            | names::S
+            | names::SMALL
+            | names::STRIKE
+            | names::STRONG
+            | names::TT
+            | names::U => {
                 self.reconstruct_formatting();
                 let id = self.insert_html(tag);
                 self.push_formatting(id);
                 Ctl::Done
             }
-            "nobr" => {
+            names::NOBR => {
                 self.reconstruct_formatting();
                 if self.open.in_scope(&atom!("nobr")) {
                     self.event(TreeEventKind::StrayStartTag { tag: "nobr".into() });
@@ -225,14 +244,14 @@ impl Builder {
                 self.push_formatting(id);
                 Ctl::Done
             }
-            "applet" | "marquee" | "object" => {
+            names::APPLET | names::MARQUEE | names::OBJECT => {
                 self.reconstruct_formatting();
                 self.insert_html(tag);
                 self.formatting.push(super::FormatEntry::Marker);
                 self.frameset_ok = false;
                 Ctl::Done
             }
-            "table" => {
+            names::TABLE => {
                 if self.quirks != super::QuirksMode::Quirks
                     && self.open.in_button_scope(&atom!("p"))
                 {
@@ -243,13 +262,13 @@ impl Builder {
                 self.mode = InsertionMode::InTable;
                 Ctl::Done
             }
-            "area" | "br" | "embed" | "img" | "keygen" | "wbr" => {
+            names::AREA | names::BR | names::EMBED | names::IMG | names::KEYGEN | names::WBR => {
                 self.reconstruct_formatting();
                 self.insert_void(tag);
                 self.frameset_ok = false;
                 Ctl::Done
             }
-            "input" => {
+            names::INPUT => {
                 self.reconstruct_formatting();
                 self.insert_void(tag);
                 let hidden = tag
@@ -261,11 +280,11 @@ impl Builder {
                 }
                 Ctl::Done
             }
-            "param" | "source" | "track" => {
+            names::PARAM | names::SOURCE | names::TRACK => {
                 self.insert_void(tag);
                 Ctl::Done
             }
-            "hr" => {
+            names::HR => {
                 if self.open.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
@@ -273,7 +292,7 @@ impl Builder {
                 self.frameset_ok = false;
                 Ctl::Done
             }
-            "image" => {
+            names::IMAGE => {
                 // Spec: "Don't ask." Treat it as img.
                 self.event(TreeEventKind::StrayStartTag { tag: "image".into() });
                 let mut img = tag.clone();
@@ -283,7 +302,7 @@ impl Builder {
                 self.frameset_ok = false;
                 Ctl::Done
             }
-            "textarea" => {
+            names::TEXTAREA => {
                 self.insert_html(tag);
                 self.ignore_lf = true;
                 tok.set_state(tokenizer::State::Rcdata);
@@ -293,7 +312,7 @@ impl Builder {
                 self.mode = InsertionMode::Text;
                 Ctl::Done
             }
-            "xmp" => {
+            names::XMP => {
                 if self.open.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
@@ -302,16 +321,16 @@ impl Builder {
                 self.generic_text_element(tag, tok, true);
                 Ctl::Done
             }
-            "iframe" => {
+            names::IFRAME => {
                 self.frameset_ok = false;
                 self.generic_text_element(tag, tok, true);
                 Ctl::Done
             }
-            "noembed" => {
+            names::NOEMBED => {
                 self.generic_text_element(tag, tok, true);
                 Ctl::Done
             }
-            "select" => {
+            names::SELECT => {
                 self.reconstruct_formatting();
                 self.insert_html(tag);
                 self.frameset_ok = false;
@@ -325,7 +344,7 @@ impl Builder {
                 };
                 Ctl::Done
             }
-            "optgroup" | "option" => {
+            names::OPTGROUP | names::OPTION => {
                 if self.current_is_html("option") {
                     self.open.pop();
                 }
@@ -333,21 +352,21 @@ impl Builder {
                 self.insert_html(tag);
                 Ctl::Done
             }
-            "rb" | "rtc" => {
+            names::RB | names::RTC => {
                 if self.open.in_scope(&atom!("ruby")) {
                     self.generate_implied_end_tags(None);
                 }
                 self.insert_html(tag);
                 Ctl::Done
             }
-            "rp" | "rt" => {
+            names::RP | names::RT => {
                 if self.open.in_scope(&atom!("ruby")) {
                     self.generate_implied_end_tags(Some("rtc"));
                 }
                 self.insert_html(tag);
                 Ctl::Done
             }
-            "math" => {
+            names::MATH => {
                 self.reconstruct_formatting();
                 self.insert_element(tag, Namespace::MathMl, false);
                 if tag.self_closing {
@@ -355,7 +374,7 @@ impl Builder {
                 }
                 Ctl::Done
             }
-            "svg" => {
+            names::SVG => {
                 self.reconstruct_formatting();
                 self.insert_element(tag, Namespace::Svg, false);
                 if tag.self_closing {
@@ -363,8 +382,17 @@ impl Builder {
                 }
                 Ctl::Done
             }
-            "caption" | "col" | "colgroup" | "frame" | "head" | "tbody" | "td" | "tfoot" | "th"
-            | "thead" | "tr" => {
+            names::CAPTION
+            | names::COL
+            | names::COLGROUP
+            | names::FRAME
+            | names::HEAD
+            | names::TBODY
+            | names::TD
+            | names::TFOOT
+            | names::TH
+            | names::THEAD
+            | names::TR => {
                 self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
                 Ctl::Done
             }
@@ -378,8 +406,8 @@ impl Builder {
     }
 
     fn in_body_end(&mut self, tag: &Tag) -> Ctl {
-        match tag.name.as_str() {
-            "body" => {
+        match tag.name.id() {
+            names::BODY => {
                 if !self.open.in_scope(&atom!("body")) {
                     self.event(TreeEventKind::StrayEndTag { tag: "body".into() });
                     return Ctl::Done;
@@ -387,7 +415,7 @@ impl Builder {
                 self.mode = InsertionMode::AfterBody;
                 Ctl::Done
             }
-            "html" => {
+            names::HTML => {
                 if !self.open.in_scope(&atom!("body")) {
                     self.event(TreeEventKind::StrayEndTag { tag: "html".into() });
                     return Ctl::Done;
@@ -395,10 +423,33 @@ impl Builder {
                 self.mode = InsertionMode::AfterBody;
                 Ctl::Reprocess(Token::EndTag(tag.clone()))
             }
-            "address" | "article" | "aside" | "blockquote" | "button" | "center" | "details"
-            | "dialog" | "dir" | "div" | "dl" | "fieldset" | "figcaption" | "figure" | "footer"
-            | "header" | "hgroup" | "listing" | "main" | "menu" | "nav" | "ol" | "pre"
-            | "search" | "section" | "summary" | "ul" => {
+            names::ADDRESS
+            | names::ARTICLE
+            | names::ASIDE
+            | names::BLOCKQUOTE
+            | names::BUTTON
+            | names::CENTER
+            | names::DETAILS
+            | names::DIALOG
+            | names::DIR
+            | names::DIV
+            | names::DL
+            | names::FIELDSET
+            | names::FIGCAPTION
+            | names::FIGURE
+            | names::FOOTER
+            | names::HEADER
+            | names::HGROUP
+            | names::LISTING
+            | names::MAIN
+            | names::MENU
+            | names::NAV
+            | names::OL
+            | names::PRE
+            | names::SEARCH
+            | names::SECTION
+            | names::SUMMARY
+            | names::UL => {
                 if !self.open.in_scope(&tag.name) {
                     self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                     return Ctl::Done;
@@ -407,7 +458,7 @@ impl Builder {
                 self.open.pop_through(&tag.name);
                 Ctl::Done
             }
-            "form" => {
+            names::FORM => {
                 let node = self.form.take();
                 match node {
                     Some(node)
@@ -427,7 +478,7 @@ impl Builder {
                 }
                 Ctl::Done
             }
-            "p" => {
+            names::P => {
                 if !self.open.in_button_scope(&atom!("p")) {
                     self.event(TreeEventKind::StrayEndTag { tag: "p".into() });
                     let p = Tag::named("p");
@@ -436,7 +487,7 @@ impl Builder {
                 self.close_p_element();
                 Ctl::Done
             }
-            "li" => {
+            names::LI => {
                 if !self.open.in_list_item_scope(&atom!("li")) {
                     self.event(TreeEventKind::StrayEndTag { tag: "li".into() });
                     return Ctl::Done;
@@ -445,7 +496,7 @@ impl Builder {
                 self.open.pop_through(&atom!("li"));
                 Ctl::Done
             }
-            "dd" | "dt" => {
+            names::DD | names::DT => {
                 if !self.open.in_scope(&tag.name) {
                     self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                     return Ctl::Done;
@@ -454,7 +505,7 @@ impl Builder {
                 self.open.pop_through(&tag.name);
                 Ctl::Done
             }
-            "h1" | "h2" | "h3" | "h4" | "h5" | "h6" => {
+            names::H1 | names::H2 | names::H3 | names::H4 | names::H5 | names::H6 => {
                 let hs = ["h1", "h2", "h3", "h4", "h5", "h6"];
                 let headings =
                     [atom!("h1"), atom!("h2"), atom!("h3"), atom!("h4"), atom!("h5"), atom!("h6")];
@@ -470,14 +521,26 @@ impl Builder {
                 }
                 Ctl::Done
             }
-            "a" | "b" | "big" | "code" | "em" | "font" | "i" | "nobr" | "s" | "small"
-            | "strike" | "strong" | "tt" | "u" => {
+            names::A
+            | names::B
+            | names::BIG
+            | names::CODE
+            | names::EM
+            | names::FONT
+            | names::I
+            | names::NOBR
+            | names::S
+            | names::SMALL
+            | names::STRIKE
+            | names::STRONG
+            | names::TT
+            | names::U => {
                 if !self.adoption_agency(&tag.name) {
                     self.any_other_end_tag(&tag.name);
                 }
                 Ctl::Done
             }
-            "applet" | "marquee" | "object" => {
+            names::APPLET | names::MARQUEE | names::OBJECT => {
                 if !self.open.in_scope(&tag.name) {
                     self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                     return Ctl::Done;
@@ -487,7 +550,7 @@ impl Builder {
                 super::formatting::clear_to_marker(&mut self.formatting);
                 Ctl::Done
             }
-            "br" => {
+            names::BR => {
                 // </br> behaves like <br>.
                 self.event(TreeEventKind::StrayEndTag { tag: "br".into() });
                 self.reconstruct_formatting();
@@ -496,7 +559,7 @@ impl Builder {
                 self.frameset_ok = false;
                 Ctl::Done
             }
-            "template" => {
+            names::TEMPLATE => {
                 if self.open.has_element(&atom!("template")) {
                     self.generate_implied_end_tags(None);
                     self.open.pop_through(&atom!("template"));

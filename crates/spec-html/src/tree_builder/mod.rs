@@ -18,6 +18,7 @@ mod events;
 mod foreign;
 mod formatting;
 mod in_body;
+mod names;
 mod open;
 mod tables;
 
@@ -696,7 +697,10 @@ impl Builder {
                 Ctl::Done
             }
             Token::EndTag(ref tag)
-                if !matches!(tag.name.as_str(), "head" | "body" | "html" | "br") =>
+                if !matches!(
+                    tag.name.id(),
+                    names::HEAD | names::BODY | names::HTML | names::BR
+                ) =>
             {
                 self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                 Ctl::Done
@@ -747,7 +751,10 @@ impl Builder {
                 Ctl::Done
             }
             Token::EndTag(ref tag)
-                if !matches!(tag.name.as_str(), "head" | "body" | "html" | "br") =>
+                if !matches!(
+                    tag.name.id(),
+                    names::HEAD | names::BODY | names::HTML | names::BR
+                ) =>
             {
                 self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                 Ctl::Done
@@ -786,30 +793,30 @@ impl Builder {
                 self.event(TreeEventKind::UnexpectedDoctype);
                 Ctl::Done
             }
-            Token::StartTag(ref tag) => match tag.name.as_str() {
-                "html" => {
+            Token::StartTag(ref tag) => match tag.name.id() {
+                names::HTML => {
                     self.merge_html_attrs(tag);
                     Ctl::Done
                 }
-                "base" | "basefont" | "bgsound" | "link" | "meta" => {
+                names::BASE | names::BASEFONT | names::BGSOUND | names::LINK | names::META => {
                     self.insert_void(tag);
                     Ctl::Done
                 }
-                "title" => {
+                names::TITLE => {
                     self.generic_text_element(tag, tok, false);
                     Ctl::Done
                 }
-                "noframes" | "style" => {
+                names::NOFRAMES | names::STYLE => {
                     self.generic_text_element(tag, tok, true);
                     Ctl::Done
                 }
-                "noscript" => {
+                names::NOSCRIPT => {
                     // Scripting disabled: parse noscript content as markup.
                     self.insert_html(tag);
                     self.mode = InsertionMode::InHeadNoscript;
                     Ctl::Done
                 }
-                "script" => {
+                names::SCRIPT => {
                     self.insert_html(tag);
                     tok.set_state(tokenizer::State::ScriptData);
                     tok.set_last_start_tag("script");
@@ -817,13 +824,13 @@ impl Builder {
                     self.mode = InsertionMode::Text;
                     Ctl::Done
                 }
-                "template" => {
+                names::TEMPLATE => {
                     // Simplified: ordinary element (see module docs).
                     self.insert_html(tag);
                     self.formatting.push(FormatEntry::Marker);
                     Ctl::Done
                 }
-                "head" => {
+                names::HEAD => {
                     self.event(TreeEventKind::SecondHeadIgnored);
                     Ctl::Done
                 }
@@ -832,13 +839,13 @@ impl Builder {
                     Ctl::Reprocess(token)
                 }
             },
-            Token::EndTag(ref tag) => match tag.name.as_str() {
-                "head" => {
+            Token::EndTag(ref tag) => match tag.name.id() {
+                names::HEAD => {
                     self.open.pop();
                     self.mode = InsertionMode::AfterHead;
                     Ctl::Done
                 }
-                "template" => {
+                names::TEMPLATE => {
                     if self.open.has_element(&atom!("template")) {
                         self.generate_implied_end_tags(None);
                         self.open.pop_through(&atom!("template"));
@@ -848,7 +855,7 @@ impl Builder {
                     }
                     Ctl::Done
                 }
-                "body" | "html" | "br" => {
+                names::BODY | names::HTML | names::BR => {
                     self.close_head_for(&format!("/{}", tag.name));
                     Ctl::Reprocess(token)
                 }
@@ -904,13 +911,18 @@ impl Builder {
             }
             Token::StartTag(ref tag)
                 if matches!(
-                    tag.name.as_str(),
-                    "basefont" | "bgsound" | "link" | "meta" | "noframes" | "style"
+                    tag.name.id(),
+                    names::BASEFONT
+                        | names::BGSOUND
+                        | names::LINK
+                        | names::META
+                        | names::NOFRAMES
+                        | names::STYLE
                 ) =>
             {
                 self.in_head(token.clone(), tok)
             }
-            Token::StartTag(ref tag) if matches!(tag.name.as_str(), "head" | "noscript") => {
+            Token::StartTag(ref tag) if matches!(tag.name.id(), names::HEAD | names::NOSCRIPT) => {
                 self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
                 Ctl::Done
             }
@@ -947,24 +959,32 @@ impl Builder {
                 self.event(TreeEventKind::UnexpectedDoctype);
                 Ctl::Done
             }
-            Token::StartTag(ref tag) => match tag.name.as_str() {
-                "html" => {
+            Token::StartTag(ref tag) => match tag.name.id() {
+                names::HTML => {
                     self.merge_html_attrs(tag);
                     Ctl::Done
                 }
-                "body" => {
+                names::BODY => {
                     self.insert_html(tag);
                     self.frameset_ok = false;
                     self.mode = InsertionMode::InBody;
                     Ctl::Done
                 }
-                "frameset" => {
+                names::FRAMESET => {
                     self.insert_html(tag);
                     self.mode = InsertionMode::InFrameset;
                     Ctl::Done
                 }
-                "base" | "basefont" | "bgsound" | "link" | "meta" | "noframes" | "script"
-                | "style" | "template" | "title" => {
+                names::BASE
+                | names::BASEFONT
+                | names::BGSOUND
+                | names::LINK
+                | names::META
+                | names::NOFRAMES
+                | names::SCRIPT
+                | names::STYLE
+                | names::TEMPLATE
+                | names::TITLE => {
                     // Parse error: the element is put back inside head.
                     self.event(TreeEventKind::LateHeadContent { tag: tag.name.to_string() });
                     if let Some(head) = self.head {
@@ -979,7 +999,7 @@ impl Builder {
                         self.in_head(token.clone(), tok)
                     }
                 }
-                "head" => {
+                names::HEAD => {
                     self.event(TreeEventKind::SecondHeadIgnored);
                     Ctl::Done
                 }
@@ -988,9 +1008,9 @@ impl Builder {
                     Ctl::Reprocess(token)
                 }
             },
-            Token::EndTag(ref tag) => match tag.name.as_str() {
-                "template" => self.in_head(token.clone(), tok),
-                "body" | "html" | "br" => {
+            Token::EndTag(ref tag) => match tag.name.id() {
+                names::TEMPLATE => self.in_head(token.clone(), tok),
+                names::BODY | names::HTML | names::BR => {
                     self.create_body_implied(&format!("/{}", tag.name));
                     Ctl::Reprocess(token)
                 }
@@ -1142,20 +1162,20 @@ impl Builder {
                 self.insert_comment(c);
                 Ctl::Done
             }
-            Token::StartTag(ref tag) => match tag.name.as_str() {
-                "html" => {
+            Token::StartTag(ref tag) => match tag.name.id() {
+                names::HTML => {
                     self.merge_html_attrs(tag);
                     Ctl::Done
                 }
-                "frameset" => {
+                names::FRAMESET => {
                     self.insert_html(tag);
                     Ctl::Done
                 }
-                "frame" => {
+                names::FRAME => {
                     self.insert_void(tag);
                     Ctl::Done
                 }
-                "noframes" => self.in_head(token.clone(), tok),
+                names::NOFRAMES => self.in_head(token.clone(), tok),
                 _ => {
                     self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
                     Ctl::Done
@@ -1271,89 +1291,17 @@ fn doctype_quirks(d: &tokenizer::Doctype) -> QuirksMode {
     QuirksMode::NoQuirks
 }
 
-/// `name == fixed.to_ascii_lowercase()` without the allocation: `fixed` is
-/// ASCII, so lowercasing byte-by-byte is exact.
-fn eq_lowercased(name: &str, fixed: &str) -> bool {
-    name.len() == fixed.len()
-        && name.bytes().zip(fixed.bytes()).all(|(n, f)| n == f.to_ascii_lowercase())
-}
-
 /// Foreign attribute adjustments (§13.2.6.5, simplified: the xlink/xml/xmlns
-/// prefixes are preserved verbatim; MathML's definitionURL gets its
-/// canonical case). The adjusted spellings are all in the static atom table,
-/// so no path through here allocates.
+/// prefixes are preserved verbatim). SVG takes the spec's table through a
+/// static id map; MathML's definitionURL gets its canonical case. The
+/// adjusted spellings are all in the static atom table, so no path through
+/// here allocates.
 fn adjust_foreign_attr(ns: Namespace, name: &Atom) -> Atom {
-    if ns == Namespace::Html {
-        return name.clone();
+    match ns {
+        Namespace::Svg => tags::svg_attr_fixup_atom(name),
+        Namespace::MathMl if *name == atom!("definitionurl") => atom!("definitionURL"),
+        _ => name.clone(),
     }
-    if ns == Namespace::MathMl && name == "definitionurl" {
-        return Atom::from_name("definitionURL");
-    }
-    if ns == Namespace::Svg {
-        // A pragmatic subset of the SVG attribute case fixups.
-        for fixed in [
-            "attributeName",
-            "attributeType",
-            "baseFrequency",
-            "baseProfile",
-            "calcMode",
-            "clipPath",
-            "clipPathUnits",
-            "diffuseConstant",
-            "edgeMode",
-            "gradientTransform",
-            "gradientUnits",
-            "kernelMatrix",
-            "keyPoints",
-            "keySplines",
-            "keyTimes",
-            "lengthAdjust",
-            "limitingConeAngle",
-            "markerHeight",
-            "markerUnits",
-            "markerWidth",
-            "maskContentUnits",
-            "maskUnits",
-            "numOctaves",
-            "pathLength",
-            "patternContentUnits",
-            "patternTransform",
-            "patternUnits",
-            "pointsAtX",
-            "pointsAtY",
-            "pointsAtZ",
-            "preserveAspectRatio",
-            "primitiveUnits",
-            "refX",
-            "refY",
-            "repeatCount",
-            "repeatDur",
-            "requiredExtensions",
-            "requiredFeatures",
-            "specularConstant",
-            "specularExponent",
-            "spreadMethod",
-            "startOffset",
-            "stdDeviation",
-            "stitchTiles",
-            "surfaceScale",
-            "systemLanguage",
-            "tableValues",
-            "targetX",
-            "targetY",
-            "textLength",
-            "viewBox",
-            "viewTarget",
-            "xChannelSelector",
-            "yChannelSelector",
-            "zoomAndPan",
-        ] {
-            if eq_lowercased(name, fixed) {
-                return Atom::from_name(fixed);
-            }
-        }
-    }
-    name.clone()
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! mXSS reordering attacks (Figure 1's `<table>` hop).
 
 use super::{
-    is_html_whitespace, split_off_leading_whitespace, Builder, Ctl, InsertionMode, TreeEventKind,
+    is_html_whitespace, names, split_off_leading_whitespace, Builder, Ctl, InsertionMode,
+    TreeEventKind,
 };
 use crate::atoms::{atom, Atom};
 use crate::tokenizer::{Tag, Token, Tokenizer};
@@ -34,21 +35,21 @@ impl Builder {
                 self.event(TreeEventKind::UnexpectedDoctype);
                 Ctl::Done
             }
-            Token::StartTag(ref tag) => match tag.name.as_str() {
-                "caption" => {
+            Token::StartTag(ref tag) => match tag.name.id() {
+                names::CAPTION => {
                     self.clear_to_table_context();
                     self.formatting.push(super::FormatEntry::Marker);
                     self.insert_html(tag);
                     self.mode = InsertionMode::InCaption;
                     Ctl::Done
                 }
-                "colgroup" => {
+                names::COLGROUP => {
                     self.clear_to_table_context();
                     self.insert_html(tag);
                     self.mode = InsertionMode::InColumnGroup;
                     Ctl::Done
                 }
-                "col" => {
+                names::COL => {
                     self.clear_to_table_context();
                     self.event(TreeEventKind::TableStructureImplied { tag: "colgroup".into() });
                     let cg = Tag::named("colgroup");
@@ -56,13 +57,13 @@ impl Builder {
                     self.mode = InsertionMode::InColumnGroup;
                     Ctl::Reprocess(token)
                 }
-                "tbody" | "tfoot" | "thead" => {
+                names::TBODY | names::TFOOT | names::THEAD => {
                     self.clear_to_table_context();
                     self.insert_html(tag);
                     self.mode = InsertionMode::InTableBody;
                     Ctl::Done
                 }
-                "td" | "th" | "tr" => {
+                names::TD | names::TH | names::TR => {
                     self.clear_to_table_context();
                     self.event(TreeEventKind::TableStructureImplied { tag: "tbody".into() });
                     let tb = Tag::named("tbody");
@@ -70,7 +71,7 @@ impl Builder {
                     self.mode = InsertionMode::InTableBody;
                     Ctl::Reprocess(token)
                 }
-                "table" => {
+                names::TABLE => {
                     // A table inside a table: close the current one first.
                     self.event(TreeEventKind::StrayStartTag { tag: "table".into() });
                     if self.open.in_table_scope(&atom!("table")) {
@@ -80,8 +81,8 @@ impl Builder {
                     }
                     Ctl::Done
                 }
-                "style" | "script" | "template" => self.in_head(token.clone(), tok),
-                "input" => {
+                names::STYLE | names::SCRIPT | names::TEMPLATE => self.in_head(token.clone(), tok),
+                names::INPUT => {
                     let hidden = tag
                         .attr_value("type")
                         .map(|t| t.eq_ignore_ascii_case("hidden"))
@@ -94,7 +95,7 @@ impl Builder {
                         self.table_anything_else(token, tok)
                     }
                 }
-                "form" => {
+                names::FORM => {
                     self.event(TreeEventKind::StrayStartTag { tag: "form".into() });
                     if !self.open.has_element(&atom!("template")) && self.form.is_none() {
                         let id = self.insert_html(tag);
@@ -105,8 +106,8 @@ impl Builder {
                 }
                 _ => self.table_anything_else(token, tok),
             },
-            Token::EndTag(ref tag) => match tag.name.as_str() {
-                "table" => {
+            Token::EndTag(ref tag) => match tag.name.id() {
+                names::TABLE => {
                     if !self.open.in_table_scope(&atom!("table")) {
                         self.event(TreeEventKind::StrayEndTag { tag: "table".into() });
                         return Ctl::Done;
@@ -115,12 +116,21 @@ impl Builder {
                     self.reset_insertion_mode();
                     Ctl::Done
                 }
-                "body" | "caption" | "col" | "colgroup" | "html" | "tbody" | "td" | "tfoot"
-                | "th" | "thead" | "tr" => {
+                names::BODY
+                | names::CAPTION
+                | names::COL
+                | names::COLGROUP
+                | names::HTML
+                | names::TBODY
+                | names::TD
+                | names::TFOOT
+                | names::TH
+                | names::THEAD
+                | names::TR => {
                     self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                     Ctl::Done
                 }
-                "template" => self.in_head(token.clone(), tok),
+                names::TEMPLATE => self.in_head(token.clone(), tok),
                 _ => self.table_anything_else(token, tok),
             },
             Token::Eof => self.in_body(Token::Eof, tok),
@@ -175,16 +185,16 @@ impl Builder {
             }
             Token::StartTag(ref tag)
                 if matches!(
-                    tag.name.as_str(),
-                    "caption"
-                        | "col"
-                        | "colgroup"
-                        | "tbody"
-                        | "td"
-                        | "tfoot"
-                        | "th"
-                        | "thead"
-                        | "tr"
+                    tag.name.id(),
+                    names::CAPTION
+                        | names::COL
+                        | names::COLGROUP
+                        | names::TBODY
+                        | names::TD
+                        | names::TFOOT
+                        | names::TH
+                        | names::THEAD
+                        | names::TR
                 ) =>
             {
                 self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
@@ -204,17 +214,17 @@ impl Builder {
             }
             Token::EndTag(ref tag)
                 if matches!(
-                    tag.name.as_str(),
-                    "body"
-                        | "col"
-                        | "colgroup"
-                        | "html"
-                        | "tbody"
-                        | "td"
-                        | "tfoot"
-                        | "th"
-                        | "thead"
-                        | "tr"
+                    tag.name.id(),
+                    names::BODY
+                        | names::COL
+                        | names::COLGROUP
+                        | names::HTML
+                        | names::TBODY
+                        | names::TD
+                        | names::TFOOT
+                        | names::TH
+                        | names::THEAD
+                        | names::TR
                 ) =>
             {
                 self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
@@ -300,7 +310,7 @@ impl Builder {
                 self.mode = InsertionMode::InRow;
                 Ctl::Done
             }
-            Token::StartTag(ref tag) if matches!(tag.name.as_str(), "th" | "td") => {
+            Token::StartTag(ref tag) if matches!(tag.name.id(), names::TH | names::TD) => {
                 self.event(TreeEventKind::TableStructureImplied { tag: "tr".into() });
                 self.clear_to_table_body_context();
                 let tr = Tag::named("tr");
@@ -308,7 +318,9 @@ impl Builder {
                 self.mode = InsertionMode::InRow;
                 Ctl::Reprocess(token)
             }
-            Token::EndTag(ref tag) if matches!(tag.name.as_str(), "tbody" | "tfoot" | "thead") => {
+            Token::EndTag(ref tag)
+                if matches!(tag.name.id(), names::TBODY | names::TFOOT | names::THEAD) =>
+            {
                 if !self.open.in_table_scope(&tag.name) {
                     self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                     return Ctl::Done;
@@ -320,8 +332,13 @@ impl Builder {
             }
             Token::StartTag(ref tag)
                 if matches!(
-                    tag.name.as_str(),
-                    "caption" | "col" | "colgroup" | "tbody" | "tfoot" | "thead"
+                    tag.name.id(),
+                    names::CAPTION
+                        | names::COL
+                        | names::COLGROUP
+                        | names::TBODY
+                        | names::TFOOT
+                        | names::THEAD
                 ) =>
             {
                 if self.any_in_table_scope(&[atom!("tbody"), atom!("thead"), atom!("tfoot")]) {
@@ -345,8 +362,15 @@ impl Builder {
             }
             Token::EndTag(ref tag)
                 if matches!(
-                    tag.name.as_str(),
-                    "body" | "caption" | "col" | "colgroup" | "html" | "td" | "th" | "tr"
+                    tag.name.id(),
+                    names::BODY
+                        | names::CAPTION
+                        | names::COL
+                        | names::COLGROUP
+                        | names::HTML
+                        | names::TD
+                        | names::TH
+                        | names::TR
                 ) =>
             {
                 self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
@@ -358,7 +382,7 @@ impl Builder {
 
     pub(crate) fn in_row(&mut self, token: Token, tok: &mut Tokenizer<'_>) -> Ctl {
         match token {
-            Token::StartTag(ref tag) if matches!(tag.name.as_str(), "th" | "td") => {
+            Token::StartTag(ref tag) if matches!(tag.name.id(), names::TH | names::TD) => {
                 self.clear_to_table_row_context();
                 self.insert_html(tag);
                 self.mode = InsertionMode::InCell;
@@ -377,8 +401,14 @@ impl Builder {
             }
             Token::StartTag(ref tag)
                 if matches!(
-                    tag.name.as_str(),
-                    "caption" | "col" | "colgroup" | "tbody" | "tfoot" | "thead" | "tr"
+                    tag.name.id(),
+                    names::CAPTION
+                        | names::COL
+                        | names::COLGROUP
+                        | names::TBODY
+                        | names::TFOOT
+                        | names::THEAD
+                        | names::TR
                 ) =>
             {
                 if self.open.in_table_scope(&atom!("tr")) {
@@ -400,7 +430,9 @@ impl Builder {
                 self.event(TreeEventKind::StrayEndTag { tag: "table".into() });
                 Ctl::Done
             }
-            Token::EndTag(ref tag) if matches!(tag.name.as_str(), "tbody" | "tfoot" | "thead") => {
+            Token::EndTag(ref tag)
+                if matches!(tag.name.id(), names::TBODY | names::TFOOT | names::THEAD) =>
+            {
                 if !self.open.in_table_scope(&tag.name) {
                     self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                     return Ctl::Done;
@@ -415,8 +447,14 @@ impl Builder {
             }
             Token::EndTag(ref tag)
                 if matches!(
-                    tag.name.as_str(),
-                    "body" | "caption" | "col" | "colgroup" | "html" | "td" | "th"
+                    tag.name.id(),
+                    names::BODY
+                        | names::CAPTION
+                        | names::COL
+                        | names::COLGROUP
+                        | names::HTML
+                        | names::TD
+                        | names::TH
                 ) =>
             {
                 self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
@@ -428,7 +466,7 @@ impl Builder {
 
     pub(crate) fn in_cell(&mut self, token: Token, tok: &mut Tokenizer<'_>) -> Ctl {
         match token {
-            Token::EndTag(ref tag) if matches!(tag.name.as_str(), "td" | "th") => {
+            Token::EndTag(ref tag) if matches!(tag.name.id(), names::TD | names::TH) => {
                 if !self.open.in_table_scope(&tag.name) {
                     self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                     return Ctl::Done;
@@ -444,16 +482,16 @@ impl Builder {
             }
             Token::StartTag(ref tag)
                 if matches!(
-                    tag.name.as_str(),
-                    "caption"
-                        | "col"
-                        | "colgroup"
-                        | "tbody"
-                        | "td"
-                        | "tfoot"
-                        | "th"
-                        | "thead"
-                        | "tr"
+                    tag.name.id(),
+                    names::CAPTION
+                        | names::COL
+                        | names::COLGROUP
+                        | names::TBODY
+                        | names::TD
+                        | names::TFOOT
+                        | names::TH
+                        | names::THEAD
+                        | names::TR
                 ) =>
             {
                 if self.any_in_table_scope(&[atom!("td"), atom!("th")]) {
@@ -465,15 +503,18 @@ impl Builder {
             }
             Token::EndTag(ref tag)
                 if matches!(
-                    tag.name.as_str(),
-                    "body" | "caption" | "col" | "colgroup" | "html"
+                    tag.name.id(),
+                    names::BODY | names::CAPTION | names::COL | names::COLGROUP | names::HTML
                 ) =>
             {
                 self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                 Ctl::Done
             }
             Token::EndTag(ref tag)
-                if matches!(tag.name.as_str(), "table" | "tbody" | "tfoot" | "thead" | "tr") =>
+                if matches!(
+                    tag.name.id(),
+                    names::TABLE | names::TBODY | names::TFOOT | names::THEAD | names::TR
+                ) =>
             {
                 if self.open.in_table_scope(&tag.name) {
                     self.close_cell();
@@ -514,19 +555,19 @@ impl Builder {
                 self.event(TreeEventKind::UnexpectedDoctype);
                 Ctl::Done
             }
-            Token::StartTag(ref tag) => match tag.name.as_str() {
-                "html" => {
+            Token::StartTag(ref tag) => match tag.name.id() {
+                names::HTML => {
                     self.merge_html_attrs(tag);
                     Ctl::Done
                 }
-                "option" => {
+                names::OPTION => {
                     if self.current_is_html("option") {
                         self.open.pop();
                     }
                     self.insert_html(tag);
                     Ctl::Done
                 }
-                "optgroup" => {
+                names::OPTGROUP => {
                     if self.current_is_html("option") {
                         self.open.pop();
                     }
@@ -536,7 +577,7 @@ impl Builder {
                     self.insert_html(tag);
                     Ctl::Done
                 }
-                "select" => {
+                names::SELECT => {
                     // <select> inside <select> acts like </select>.
                     self.event(TreeEventKind::StrayStartTag { tag: "select".into() });
                     if self.open.in_select_scope(&atom!("select")) {
@@ -545,7 +586,7 @@ impl Builder {
                     }
                     Ctl::Done
                 }
-                "input" | "keygen" | "textarea" => {
+                names::INPUT | names::KEYGEN | names::TEXTAREA => {
                     self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
                     if self.open.in_select_scope(&atom!("select")) {
                         self.open.pop_through(&atom!("select"));
@@ -554,14 +595,14 @@ impl Builder {
                     }
                     Ctl::Done
                 }
-                "script" | "template" => self.in_head(token.clone(), tok),
+                names::SCRIPT | names::TEMPLATE => self.in_head(token.clone(), tok),
                 _ => {
                     self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
                     Ctl::Done
                 }
             },
-            Token::EndTag(ref tag) => match tag.name.as_str() {
-                "optgroup" => {
+            Token::EndTag(ref tag) => match tag.name.id() {
+                names::OPTGROUP => {
                     if self.current_is_html("option") {
                         // An option directly inside optgroup closes too.
                         let len = self.open.len();
@@ -576,7 +617,7 @@ impl Builder {
                     }
                     Ctl::Done
                 }
-                "option" => {
+                names::OPTION => {
                     if self.current_is_html("option") {
                         self.open.pop();
                     } else {
@@ -584,7 +625,7 @@ impl Builder {
                     }
                     Ctl::Done
                 }
-                "select" => {
+                names::SELECT => {
                     if !self.open.in_select_scope(&atom!("select")) {
                         self.event(TreeEventKind::StrayEndTag { tag: "select".into() });
                         return Ctl::Done;
@@ -593,7 +634,7 @@ impl Builder {
                     self.reset_insertion_mode();
                     Ctl::Done
                 }
-                "template" => self.in_head(token.clone(), tok),
+                names::TEMPLATE => self.in_head(token.clone(), tok),
                 _ => {
                     self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                     Ctl::Done
@@ -607,8 +648,15 @@ impl Builder {
         match &token {
             Token::StartTag(tag)
                 if matches!(
-                    tag.name.as_str(),
-                    "caption" | "table" | "tbody" | "tfoot" | "thead" | "tr" | "td" | "th"
+                    tag.name.id(),
+                    names::CAPTION
+                        | names::TABLE
+                        | names::TBODY
+                        | names::TFOOT
+                        | names::THEAD
+                        | names::TR
+                        | names::TD
+                        | names::TH
                 ) =>
             {
                 self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
@@ -617,8 +665,15 @@ impl Builder {
             }
             Token::EndTag(tag)
                 if matches!(
-                    tag.name.as_str(),
-                    "caption" | "table" | "tbody" | "tfoot" | "thead" | "tr" | "td" | "th"
+                    tag.name.id(),
+                    names::CAPTION
+                        | names::TABLE
+                        | names::TBODY
+                        | names::TFOOT
+                        | names::THEAD
+                        | names::TR
+                        | names::TD
+                        | names::TH
                 ) =>
             {
                 self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });

@@ -98,6 +98,12 @@ cases! {
     // --- foreign content ---
     svg_roundtrip: "<svg viewBox=\"0 0 1 1\"><circle r=\"1\"></circle></svg>"
         => "<svg viewBox=\"0 0 1 1\"><circle r=\"1\"></circle></svg>";
+    // The spec's "adjust SVG attributes" table has the first four and
+    // lacks `clippath` (only the element name is adjusted).
+    svg_attribute_case_table:
+        "<svg filterunits=a glyphref=b kernelunitlength=c preservealpha=d clippath=e></svg>"
+        => "<svg filterUnits=\"a\" glyphRef=\"b\" kernelUnitLength=\"c\" preserveAlpha=\"d\" \
+            clippath=\"e\"></svg>";
     svg_self_closing: "<svg><path d=\"M0 0\"/></svg>x"
         => "<svg><path d=\"M0 0\"></path></svg>x";
     svg_breakout: "<svg><rect></rect><p>out</p>" => "<svg><rect></rect></svg><p>out</p>";
