@@ -117,12 +117,15 @@ fn typical_pages_allocs_within_ceiling() {
     );
 }
 
-// Recorded ceilings: the measurement + ~15% headroom. "Copied" counts are
-// from before text runs and attribute lists moved into the DOM uncopied.
-const DENSE_PARSE_CEILING: u64 = 5_150; // measured 4,457 (7,657 copied, 53,274 pre-interning)
-const DENSE_BATTERY_CEILING: u64 = 9_750; // measured 8,468 (16,869 copied, 75,287 pre-interning)
-const ATTR_HEAVY_CEILING: u64 = 5_150; // measured 4,481 (8,918 copied, 103,196 pre-interning)
-const ATTR_SOUP_CEILING: u64 = 7_600; // measured 6,590 (13,124 copied, 134,712 pre-interning)
-const FORMATTING_PARSE_CEILING: u64 = 4_200; // measured 3,648 (5,432 copied, 801,095 unshared)
-const TYPICAL_PARSE_CEILING: f64 = 154.0; // measured 133.8 (238.9 copied)
+// Recorded ceilings: the measurement + ~15% headroom. Every parse here
+// follows a warm-up parse on the same thread, so it reuses the thread's
+// spare parse buffers; "unrecycled" counts are from before that store,
+// "copied" ones from before text runs and attribute lists moved into the
+// DOM uncopied.
+const DENSE_PARSE_CEILING: u64 = 4_800; // measured 4,175 (4,457 unrecycled, 7,657 copied, 53,274 pre-interning)
+const DENSE_BATTERY_CEILING: u64 = 9_400; // measured 8,186 (8,468 unrecycled, 16,869 copied, 75,287 pre-interning)
+const ATTR_HEAVY_CEILING: u64 = 4_820; // measured 4,193 (4,481 unrecycled, 8,918 copied, 103,196 pre-interning)
+const ATTR_SOUP_CEILING: u64 = 7_250; // measured 6,304 (6,590 unrecycled, 13,124 copied, 134,712 pre-interning)
+const FORMATTING_PARSE_CEILING: u64 = 3_870; // measured 3,367 (3,648 unrecycled, 5,432 copied, 801,095 unshared)
+const TYPICAL_PARSE_CEILING: f64 = 71.5; // measured 62.0 (132.8 unrecycled, 238.9 copied)
 const TYPICAL_BATTERY_CEILING: f64 = 7.0; // measured 6.1 (46.7 lowercasing values)

@@ -12,8 +12,9 @@
 //! call, then walks each source exactly once — errors → events → start
 //! tags → pre-order DOM → finish — dispatching every item only to the
 //! rules that asked for it. Whole passes are skipped when no rule in the
-//! battery wants them (the tag pass always runs: it also feeds the §4.5
-//! mitigation flags). Findings are sorted by `(kind, offset)` at the end;
+//! battery wants them, except two that always run: the tag pass also feeds
+//! the §4.5 mitigation flags, and the element pass counts §4.2's math
+//! usage ([`PageReport::uses_math`]). Findings are sorted by `(kind, offset)` at the end;
 //! since every kind belongs to exactly one rule and each rule sees its
 //! items in the same source order the pre-fusion per-rule scans used, the
 //! output is byte-identical to theirs (kept as `hv_fuzz::reference::checkers`).
@@ -42,7 +43,10 @@ use crate::context::CheckContext;
 use crate::report::PageReport;
 use crate::taxonomy::ViolationKind;
 use serde::{Deserialize, Serialize};
+use spec_html::Atom;
 use std::time::Instant;
+
+const MATH: Atom = Atom::known("math");
 
 /// Why a raw byte body could not be analyzed. Returned by
 /// [`Battery::try_run_bytes`] so callers classify the page instead of
@@ -219,11 +223,13 @@ impl Battery {
             }
         }
 
-        if !dom_idx.is_empty() {
-            for id in cx.parse.dom.all_elements() {
-                for &i in dom_idx.iter() {
-                    dispatch!(i, checks[i].on_node(cx, id, out));
-                }
+        // The element pass always runs too: it counts §4.2's math usage.
+        let dom = &cx.parse.dom;
+        let mut uses_math = false;
+        for id in dom.all_elements() {
+            uses_math = uses_math || dom.element(id).is_some_and(|e| e.name == MATH);
+            for &i in dom_idx.iter() {
+                dispatch!(i, checks[i].on_node(cx, id, out));
             }
         }
 
@@ -233,6 +239,7 @@ impl Battery {
 
         out.sort_by_key(|f| (f.kind, f.offset));
         report.mitigations = mitigations.finish();
+        report.uses_math = uses_math;
     }
 
     /// Run the battery, reusing the internal report buffer. The returned
@@ -516,6 +523,25 @@ mod tests {
             .findings
             .iter()
             .all(|f| matches!(f.kind, ViolationKind::FB1 | ViolationKind::FB2)));
+    }
+
+    /// Math usage is counted by every battery, with or without DOM rules,
+    /// in either namespace, and reset between pages.
+    #[test]
+    fn math_usage_is_counted_without_dom_rules() {
+        let mut empty = Battery::only(&[]);
+        let mut full = Battery::full();
+        for (page, math) in [
+            ("<p>x<math><mi>y</mi></math>", true),
+            ("<svg><p><math></math>", true),
+            ("<table><math>", true),
+            ("<p>math</p><svg><mi>", false),
+            (DIRTY, false),
+        ] {
+            for battery in [&mut empty, &mut full] {
+                assert_eq!(battery.run_str(page).uses_math, math, "{page}");
+            }
+        }
     }
 
     #[test]

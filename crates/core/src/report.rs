@@ -27,6 +27,11 @@ pub struct PageReport {
     pub findings: Vec<Finding>,
     /// §4.5 mitigation counters, measured alongside the violations.
     pub mitigations: MitigationFlags,
+    /// §4.2's usage counter: the page has a `math` element. Either
+    /// namespace counts: a MathML `math`, or an HTML orphan the parser
+    /// left outside foreign content.
+    #[serde(default)]
+    pub uses_math: bool,
 }
 
 impl PageReport {
@@ -115,9 +120,14 @@ mod tests {
         let mut r = PageReport::default();
         r.findings.push(Finding::new(ViolationKind::HF4, 12, "strong in tr"));
         r.mitigations.newline_in_url = true;
+        r.uses_math = true;
         let json = serde_json::to_string(&r).unwrap();
         let back: PageReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.findings, r.findings);
         assert_eq!(back.mitigations, r.mitigations);
+        assert!(back.uses_math);
+        // Reports written before the flag existed load without it.
+        let old: PageReport = serde_json::from_str(r#"{"findings":[],"mitigations":{}}"#).unwrap();
+        assert!(!old.uses_math);
     }
 }

@@ -12,11 +12,13 @@
 //! the same way, at any thread count and in any execution order.
 //!
 //! The injector wraps a fetch attempt ([`FaultPlan::apply`]): read-layer
-//! faults (malformed CDX metadata, transient I/O, truncated WARC records)
-//! surface as structured errors, while content-layer faults (fake gzip
-//! members, invalid UTF-8, oversized bodies) corrupt the returned bytes and
-//! are caught by the pipeline's own guards — the same detection paths real
-//! corruption would take. Truncation is injected by round-tripping the body
+//! faults (malformed CDX metadata, transient I/O, truncated WARC records,
+//! records too long for the byte budget) surface as structured errors,
+//! while content-layer faults (fake gzip members, invalid UTF-8) corrupt
+//! the returned bytes and are caught by the pipeline's own guards — the
+//! same detection paths real corruption would take. An oversized record is
+//! refused by its length before any body is read or built, as a WARC
+//! source refuses an over-budget index entry. Truncation is injected by round-tripping the body
 //! through a real WARC record and cutting it short, so the reported
 //! [`WarcError`] comes from the production parser, not from an oracle.
 
@@ -48,7 +50,7 @@ pub enum FaultClass {
     CorruptCompression,
     /// Invalid UTF-8 bytes are spliced into the body (mojibake).
     InvalidUtf8,
-    /// The body is inflated past any sane byte budget.
+    /// The record is longer than the byte budget; it is refused unread.
     OversizedBody,
 }
 
@@ -172,11 +174,13 @@ impl FaultPlan {
 
     /// Wrap one fetch attempt. `clean` produces the true record body and is
     /// only invoked when the planned fault (if any) lets bytes through;
-    /// `attempt` is 1-based; `byte_budget` sizes the oversized-body fault
-    /// so it always trips the pipeline's guard.
+    /// `attempt` is 1-based; `byte_budget` is the cap an oversized record
+    /// is refused against.
     ///
-    /// Read-layer faults come back as [`FetchFault`]s; content-layer faults
-    /// return corrupted bytes for the pipeline's own detectors to catch.
+    /// Read-layer faults come back as [`FetchFault`]s (an oversized record
+    /// as [`WarcError::OversizedRecord`], with no body built); content-layer
+    /// faults return corrupted bytes for the pipeline's own detectors to
+    /// catch.
     pub fn apply(
         &self,
         page: PageKey,
@@ -197,7 +201,10 @@ impl FaultPlan {
             FaultClass::TruncatedRecord => Err(FetchFault::Warc(self.truncate(page, clean()))),
             FaultClass::CorruptCompression => Ok(self.corrupt_gzip(page)),
             FaultClass::InvalidUtf8 => Ok(self.splice_invalid_utf8(page, clean())),
-            FaultClass::OversizedBody => Ok(Self::inflate(clean(), byte_budget)),
+            FaultClass::OversizedBody => {
+                let cap = byte_budget as u64;
+                Err(FetchFault::Warc(WarcError::OversizedRecord { length: cap + 1, cap }))
+            }
         }
     }
 
@@ -236,19 +243,6 @@ impl FaultPlan {
         let pos = rng::below(self.seed, &page.parts(key::UTF8_POS), body.len().max(1) + 1)
             .min(body.len());
         body.splice(pos..pos, [0xFF, 0xFE, 0xFD]);
-        body
-    }
-
-    /// Inflate the body just past the byte budget by cycling its own bytes
-    /// (or a filler comment when empty).
-    fn inflate(mut body: Vec<u8>, byte_budget: usize) -> Vec<u8> {
-        let pattern: Vec<u8> =
-            if body.is_empty() { b"<!-- oversized -->".to_vec() } else { body.clone() };
-        let target = byte_budget + 1 + pattern.len();
-        body.reserve(target.saturating_sub(body.len()));
-        while body.len() <= byte_budget {
-            body.extend_from_slice(&pattern);
-        }
         body
     }
 }
@@ -317,13 +311,24 @@ mod tests {
         }
     }
 
+    /// An oversized record is refused against the budget, and no body is
+    /// read to refuse it.
     #[test]
-    fn oversized_fault_exceeds_budget() {
-        let small = 4096;
-        let body = FaultPlan::inflate(b"<p>x</p>".to_vec(), small);
-        assert!(body.len() > small);
-        assert!(body.len() < small + 64, "inflation should stop just past the budget");
-        assert!(FaultPlan::inflate(Vec::new(), small).len() > small);
+    fn oversized_fault_is_refused_unread() {
+        let plan = FaultPlan::new(8, 1.0).unwrap();
+        let mut refused = 0;
+        for k in keys(300) {
+            if plan.fault_for(k).unwrap().class != FaultClass::OversizedBody {
+                continue;
+            }
+            let got = plan.apply(k, 1, 4096, || panic!("an oversized record is never read"));
+            assert_eq!(
+                got,
+                Err(FetchFault::Warc(WarcError::OversizedRecord { length: 4097, cap: 4096 }))
+            );
+            refused += 1;
+        }
+        assert!(refused > 20, "only {refused} oversized draws");
     }
 
     #[test]

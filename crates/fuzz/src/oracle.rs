@@ -162,6 +162,12 @@ impl Oracle for BatteryEquivalence {
                 fused.mitigations, legacy.mitigations
             ));
         }
+        if fused.uses_math != legacy.uses_math {
+            return Err(format!(
+                "math usage diverges: fused={} legacy={}",
+                fused.uses_math, legacy.uses_math
+            ));
+        }
         Ok(())
     }
 }

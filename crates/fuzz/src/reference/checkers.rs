@@ -345,6 +345,10 @@ pub fn run_into(cx: &CheckContext<'_>, report: &mut PageReport) {
     }
     report.findings.sort_by_key(|f| (f.kind, f.offset));
     report.mitigations = mitigation_flags(cx);
+    // §4.2's math usage, as the scan worker counted it in a walk of its own.
+    let dom = &cx.parse.dom;
+    report.uses_math =
+        dom.all_elements().any(|id| dom.element(id).is_some_and(|e| e.name == "math"));
 }
 
 /// Pre-fusion equivalent of `Battery::run`.

@@ -24,6 +24,7 @@ use crate::store::{DomainYearRecord, ResultStore};
 use hv_core::context::CheckContext;
 use hv_core::{Battery, HvError, MitigationFlags, ViolationKind};
 use hv_corpus::faults::{FaultClass, FaultPlan, FetchFault, PageKey};
+use hv_corpus::warc::WarcError;
 use hv_corpus::{Archive, DomainSnapshot, Snapshot};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -559,20 +560,11 @@ fn scan_worker<S: PageSource>(job: &Job<'_, S>) -> WorkerOut {
                 None => battery.run_ref(&cx),
             };
             lap(t, &mut phases.check);
-
-            // §4.2's usage counter: any math element (either namespace's
-            // spelling ends up as a MathML-ns `math` element or an HTML
-            // orphan; count both).
-            let uses_math = cx
-                .parse
-                .dom
-                .all_elements()
-                .any(|id| cx.parse.dom.element(id).is_some_and(|e| e.name == "math"));
             PageAnalysis::Analyzed {
                 decoded_len: text.len() as u64,
                 kinds: report.kinds(),
                 mitigations: report.mitigations,
-                uses_math,
+                uses_math: report.uses_math,
             }
         }));
 
@@ -660,6 +652,11 @@ fn fetch_page<S: PageSource>(job: &Job<'_, S>, slot: &Slot<S::Locator>, page: us
             }
             // Deterministic corruption: retrying cannot help.
             Err(FetchFault::MalformedCdx) => break Err(ErrorClass::MalformedCdx),
+            // Refused by its length, unread, as `WarcSource::fetch` refuses
+            // an over-budget record.
+            Err(FetchFault::Warc(WarcError::OversizedRecord { .. })) => {
+                break Err(ErrorClass::OversizedBody)
+            }
             Err(FetchFault::Warc(_)) => break Err(ErrorClass::TruncatedRecord),
         }
     };
@@ -936,6 +933,16 @@ mod tests {
         assert!(m.faults.degraded > 0, "some transient faults must recover");
         assert!(m.faults.transient_io > 0, "some transient faults must exhaust");
         assert_eq!(m.faults.parser_panic, 0, "no input may panic the parser");
+        // An oversized record is refused unread: the fetched bytes are the
+        // pages' own (about 2 KiB each), not a budget's worth per oversized
+        // fault (which made them 18 KiB a page).
+        assert!(m.faults.oversized_body > 0, "a 10% rate must draw oversized records");
+        assert!(
+            m.bytes_fetched < m.pages_listed * 4 * 1024,
+            "{} bytes fetched for {} pages",
+            m.bytes_fetched,
+            m.pages_listed
+        );
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! ([`Attrs`]). The tokenizer builds that list once per start tag and the
 //! element takes it as is, so neither the element nor the copies formatting
 //! reconstruction re-creates from the tag cost an allocation. Text nodes
-//! take the tokenizer's character runs the same way.
+//! take the tokenizer's character runs the same way. When a document drops,
+//! its node vector and text strings go back to its thread's store of spare
+//! parse buffers (`crate::recycle`), for the next parse to reuse.
 
 use crate::atoms::Atom;
+use crate::recycle;
 use crate::tokenizer::Attr;
 use std::fmt;
 use std::num::NonZeroU32;
@@ -211,18 +214,19 @@ pub struct Document {
     nodes: Vec<Node>,
 }
 
+/// Starts from the thread's spare node vector (see [`crate::recycle`]).
 impl Default for Document {
     fn default() -> Self {
-        Document {
-            nodes: vec![Node {
-                data: NodeData::Document,
-                parent: None,
-                first_child: None,
-                last_child: None,
-                prev_sibling: None,
-                next_sibling: None,
-            }],
-        }
+        let mut doc = Document { nodes: recycle::take_nodes() };
+        doc.create(NodeData::Document);
+        doc
+    }
+}
+
+/// The node vector and the text strings go back to the thread's store.
+impl Drop for Document {
+    fn drop(&mut self) {
+        recycle::give_nodes(std::mem::take(&mut self.nodes));
     }
 }
 

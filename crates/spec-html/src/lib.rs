@@ -46,6 +46,7 @@ pub mod dom;
 pub mod entities;
 pub mod errors;
 pub mod preprocess;
+mod recycle;
 pub mod scan;
 pub mod serializer;
 pub mod tags;

@@ -17,6 +17,7 @@ use crate::dom::Attrs;
 use crate::entities;
 use crate::errors::{ErrorCode, ParseError};
 use crate::preprocess::InputStream;
+use crate::recycle::{self, Scratch};
 use crate::scan;
 
 /// Tokenizer states (§13.2.5.1–80). Names mirror the specification.
@@ -160,6 +161,9 @@ pub struct Tokenizer<'a> {
     ready_text: Option<String>,
     ready: Option<Token>,
     text_buf: String,
+    /// Empty strings for the next text runs: the text nodes of documents
+    /// this thread dropped (see [`crate::recycle`]).
+    spare_texts: Vec<String>,
 
     tag_kind: TagKind,
     tag_name: String,
@@ -207,6 +211,9 @@ impl<'a> Tokenizer<'a> {
     }
 
     fn with_mode(input: &'a str, batched: bool) -> Self {
+        let Scratch { tag_name, attr_name, attr_value, raw_value, attrs, last_start_tag } =
+            recycle::take_scratch();
+        let mut spare_texts = recycle::take_texts();
         Tokenizer {
             stream: InputStream::new(input),
             batched,
@@ -215,19 +222,25 @@ impl<'a> Tokenizer<'a> {
             errors: Vec::new(),
             ready_text: None,
             ready: None,
-            text_buf: String::new(),
+            text_buf: spare_texts.pop().unwrap_or_default(),
+            spare_texts,
             tag_kind: TagKind::Start,
-            tag_name: String::new(),
+            tag_name,
             tag_self_closing: false,
-            tag_attrs: Vec::new(),
+            tag_attrs: attrs,
             tag_dup_attrs: Vec::new(),
             tag_offset: 0,
-            cur_attr: AttrBuilder::default(),
+            cur_attr: AttrBuilder {
+                name: attr_name,
+                value: attr_value,
+                raw_value,
+                ..AttrBuilder::default()
+            },
             interner: Interner::new(),
             last_tag_atom: Atom::default(),
             comment: String::new(),
             doctype: None,
-            last_start_tag: String::new(),
+            last_start_tag,
             temp_buffer: String::new(),
             char_ref_code: 0,
             char_ref_start: 0,
@@ -345,7 +358,8 @@ impl<'a> Tokenizer<'a> {
                 self.ready_text.is_none() && self.ready.is_none(),
                 "a step flushes one text run, before its token"
             );
-            self.ready_text = Some(std::mem::take(&mut self.text_buf));
+            let next = self.spare_texts.pop().unwrap_or_default();
+            self.ready_text = Some(std::mem::replace(&mut self.text_buf, next));
         }
     }
 
@@ -2232,6 +2246,24 @@ impl<'a> Tokenizer<'a> {
         let rest = self.stream.rest().as_bytes();
         rest.len() >= lower.len()
             && rest.iter().zip(lower.as_bytes()).all(|(g, p)| g.to_ascii_lowercase() == *p)
+    }
+}
+
+/// The scratch buffers and unused text strings go back to the thread's
+/// store for the next tokenizer.
+impl Drop for Tokenizer<'_> {
+    fn drop(&mut self) {
+        recycle::give_texts(std::mem::take(&mut self.spare_texts));
+        recycle::give_text(std::mem::take(&mut self.text_buf));
+        let a = &mut self.cur_attr;
+        recycle::give_scratch(Scratch {
+            tag_name: std::mem::take(&mut self.tag_name),
+            attr_name: std::mem::take(&mut a.name),
+            attr_value: std::mem::take(&mut a.value),
+            raw_value: std::mem::take(&mut a.raw_value),
+            attrs: std::mem::take(&mut self.tag_attrs),
+            last_start_tag: std::mem::take(&mut self.last_start_tag),
+        });
     }
 }
 

@@ -19,7 +19,7 @@ mod foreign;
 mod formatting;
 mod in_body;
 mod names;
-mod open;
+pub(crate) mod open;
 mod tables;
 
 pub use events::{TreeEvent, TreeEventKind};
@@ -841,8 +841,7 @@ impl Builder {
             },
             Token::EndTag(ref tag) => match tag.name.id() {
                 names::HEAD => {
-                    self.open.pop();
-                    self.mode = InsertionMode::AfterHead;
+                    self.pop_head();
                     Ctl::Done
                 }
                 names::TEMPLATE => {
@@ -875,14 +874,36 @@ impl Builder {
     /// non-head token arrived — the HF1 signal.
     fn close_head_for(&mut self, what: &str) {
         self.event(TreeEventKind::HeadClosedBy { tag: what.to_owned() });
-        self.open.pop();
-        self.mode = InsertionMode::AfterHead;
+        self.pop_head();
     }
 
     /// Head closes at EOF without an HF1 signal (an empty page is not a
     /// broken head).
     fn close_head_quiet(&mut self) {
-        self.open.pop();
+        self.pop_head();
+    }
+
+    /// Leave "in head": pop through the head element. A `<template>` still
+    /// open in head (which parses as an ordinary element, see the module
+    /// docs) closes with it and releases its formatting marker, as in
+    /// [`Self::unwind_to_html`]; popping only the current node would leave
+    /// the head open under the template.
+    fn pop_head(&mut self) {
+        match self.head.filter(|&h| self.open.contains(h)) {
+            Some(head) => {
+                while let Some(popped) = self.open.pop() {
+                    if popped == head {
+                        break;
+                    }
+                    if self.doc.is_html(popped, "template") {
+                        formatting::clear_to_marker(&mut self.formatting);
+                    }
+                }
+            }
+            None => {
+                self.open.pop();
+            }
+        }
         self.mode = InsertionMode::AfterHead;
     }
 

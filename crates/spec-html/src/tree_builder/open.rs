@@ -34,6 +34,7 @@
 
 use crate::atoms::{atom, known_id, Atom, STATIC_ATOMS};
 use crate::dom::{Document, Namespace, NodeId};
+use crate::recycle::{self, StackTables};
 use crate::tags;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -140,7 +141,7 @@ const NO_KEY: u32 = u32::MAX;
 
 /// One stack entry: the node, its classes and its links.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
+pub(crate) struct Entry {
     node: NodeId,
     /// Name key (static atom id, or a dynamic slot), [`NO_KEY`] if foreign.
     key: u32,
@@ -173,13 +174,17 @@ pub(crate) struct OpenElements {
 }
 
 impl OpenElements {
+    /// An empty stack, on the thread's spare tables (see
+    /// [`crate::recycle`]).
     pub(crate) fn new() -> Self {
+        let StackTables { entries, mut top, on_stack } = recycle::take_stack();
+        top.resize(HTML_KEYS, 0);
         OpenElements {
-            entries: Vec::with_capacity(32),
-            top: vec![0; HTML_KEYS],
+            entries,
+            top,
             dynamic: HashMap::new(),
             outermost_foreign: 0,
-            on_stack: Vec::with_capacity(8),
+            on_stack,
             lifted: Vec::new(),
             classes: class_table(),
         }
@@ -483,6 +488,16 @@ impl OpenElements {
         self.pop();
         self.push(doc, node);
         self.restore();
+    }
+}
+
+impl Drop for OpenElements {
+    fn drop(&mut self) {
+        recycle::give_stack(StackTables {
+            entries: std::mem::take(&mut self.entries),
+            top: std::mem::take(&mut self.top),
+            on_stack: std::mem::take(&mut self.on_stack),
+        });
     }
 }
 

@@ -230,6 +230,36 @@ fn late_head_content_reenters_head() {
     assert!(out.dom.descendants(head).any(|id| out.dom.is_html(id, "meta")));
 }
 
+/// Every exit from "in head" (a token that does not belong there, `</head>`,
+/// EOF) closes the head, and with it any template still open inside it:
+/// the body becomes html's second child, never a template's.
+#[test]
+fn head_exit_closes_templates_open_in_head() {
+    for (input, expected) in [
+        (
+            "<template><template><body>",
+            "<html><head><template><template></template></template></head><body></body></html>",
+        ),
+        (
+            "<head><template></head><p>x",
+            "<html><head><template></template></head><body><p>x</p></body></html>",
+        ),
+        (
+            "<template><template>",
+            "<html><head><template><template></template></template></head><body></body></html>",
+        ),
+    ] {
+        let out = parse_doc(input);
+        assert_eq!(serialize(&out.dom), expected, "input: {input}");
+        let html = out.dom.find_html("html").unwrap();
+        let kids: Vec<_> = out.dom.children(html).filter_map(|id| out.dom.html_name(id)).collect();
+        assert_eq!(kids, ["head", "body"], "input: {input}");
+        out.dom.check_invariants().unwrap();
+        // A fixed point: the serialization parses back to itself.
+        assert_eq!(serialize(&parse_doc(expected).dom), expected, "input: {input}");
+    }
+}
+
 #[test]
 fn meta_in_body_stays_in_body() {
     // DM1's DOM shape: meta inside body is NOT relocated.
