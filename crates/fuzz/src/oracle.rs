@@ -16,6 +16,7 @@
 //! | `atom-agreement` | every atom-keyed tag predicate ≡ its string reference |
 //! | `autofix-soundness` | §4.4 auto-fix output re-checks clean of automatic kinds, and converges |
 //! | `dom-validity` | any input yields a structurally valid DOM and in-bounds error offsets |
+//! | `json-equivalence` | `CheckResponse`/`PageReport` compact JSON written directly ≡ the text of their `serde::Value` tree |
 //! | `wire-check` | a live `hva serve` answers `POST /v1/check` byte-identically to the in-process battery |
 //!
 //! Oracles are `&mut self` so they can own reusable state (a battery, a
@@ -55,6 +56,7 @@ pub fn all_oracles() -> Vec<Box<dyn Oracle>> {
         Box::new(AtomAgreement),
         Box::new(SerializerFixpoint),
         Box::new(AutofixSoundness),
+        Box::new(JsonEquivalence::new()),
         Box::new(WireCheck::new()),
     ]
 }
@@ -356,6 +358,61 @@ impl Oracle for DomValidity {
     }
 }
 
+/// Compact JSON equivalence: `serde_json::to_string` writes a value's text
+/// directly (`Serialize::write_json`), and must print the same bytes as the
+/// `serde::Value` tree the value builds, for the `/v1/check` answer and
+/// the report behind it.
+pub struct JsonEquivalence {
+    battery: Battery,
+}
+
+impl JsonEquivalence {
+    pub fn new() -> Self {
+        JsonEquivalence { battery: Battery::full() }
+    }
+}
+
+impl Default for JsonEquivalence {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Oracle for JsonEquivalence {
+    fn name(&self) -> &'static str {
+        "json-equivalence"
+    }
+
+    fn describe(&self) -> &'static str {
+        "CheckResponse and PageReport serialize to the same JSON directly and through a Value tree"
+    }
+
+    fn check(&mut self, case: &str) -> Result<(), String> {
+        let report = self.battery.run_str(case);
+        let response = CheckResponse::from(&report);
+        let texts = [
+            (
+                "PageReport",
+                serde_json::to_string(&report),
+                serde_json::to_string(&serde_json::to_value(&report)),
+            ),
+            (
+                "CheckResponse",
+                serde_json::to_string(&response),
+                serde_json::to_string(&serde_json::to_value(&response)),
+            ),
+        ];
+        for (what, direct, tree) in texts {
+            let direct = direct.map_err(|e| format!("serializing {what}: {e}"))?;
+            let tree = tree.map_err(|e| format!("serializing {what}'s tree: {e}"))?;
+            if direct != tree {
+                return Err(format!("{what} JSON diverged:\n  direct: {direct}\n  tree:   {tree}"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Live-server wire oracle: `POST /v1/check` against a real `hva serve`
 /// instance (spawned lazily on a loopback port, shut down on drop) must
 /// return the *byte-identical* JSON the in-process battery serializes —
@@ -478,6 +535,7 @@ mod tests {
                 "atom-agreement",
                 "serializer-fixpoint",
                 "autofix-soundness",
+                "json-equivalence",
                 "wire-check",
             ]
         );

@@ -267,17 +267,17 @@ impl Response {
     pub fn write_to(&self, stream: &mut TcpStream, request_keep_alive: bool) -> io::Result<bool> {
         let keep_alive = request_keep_alive && !self.force_close;
         let mut out = Vec::with_capacity(256 + self.body.len());
-        let reason = reason_phrase(self.status);
-        out.extend_from_slice(format!("HTTP/1.1 {} {}\r\n", self.status, reason).as_bytes());
-        out.extend_from_slice(format!("content-type: {}\r\n", self.content_type).as_bytes());
-        out.extend_from_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
-        out.extend_from_slice(if keep_alive {
-            b"connection: keep-alive\r\n".as_slice()
-        } else {
-            b"connection: close\r\n"
-        });
+        write!(
+            out,
+            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
+            self.status,
+            reason_phrase(self.status),
+            self.content_type,
+            self.body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
+        )?;
         for (name, value) in &self.extra_headers {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+            write!(out, "{name}: {value}\r\n")?;
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
@@ -472,5 +472,39 @@ mod tests {
         assert!(text.contains("content-type: application/json\r\n"));
         assert!(text.contains("retry-after: 1\r\n"));
         assert!(text.ends_with("{\"code\":\"x\",\"message\":\"y\"}"));
+    }
+
+    /// Every byte `write_to` sends for `resp`.
+    fn written(resp: Response, request_keep_alive: bool) -> Vec<u8> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let t = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            resp.write_to(&mut stream, request_keep_alive).unwrap()
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        let mut raw = Vec::new();
+        client.read_to_end(&mut raw).unwrap();
+        t.join().unwrap();
+        raw
+    }
+
+    #[test]
+    fn response_head_bytes_are_pinned() {
+        let ok = written(Response::json(200, &crate::api::v1::ErrorBody::new("x", "y")), true);
+        assert_eq!(
+            String::from_utf8(ok).unwrap(),
+            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 26\r\n\
+             connection: keep-alive\r\n\r\n{\"code\":\"x\",\"message\":\"y\"}"
+        );
+        let shed = Response::error(503, "shedding_load", "server at capacity, retry shortly")
+            .header("retry-after", "1")
+            .close();
+        assert_eq!(
+            String::from_utf8(written(shed, true)).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
+             content-length: 70\r\nconnection: close\r\nretry-after: 1\r\n\r\n\
+             {\"code\":\"shedding_load\",\"message\":\"server at capacity, retry shortly\"}"
+        );
     }
 }

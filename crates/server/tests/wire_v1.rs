@@ -144,3 +144,73 @@ fn unknown_fields_are_ignored_on_requests() {
 fn missing_required_field_is_an_error() {
     assert!(serde_json::from_str::<CheckRequest>(r#"{"htlm":"typo"}"#).is_err());
 }
+
+#[test]
+fn check_response_escapes_golden() {
+    // Evidence holding a quote, a backslash, a tab and U+0001 reaches every
+    // escape the compact writer has: the two-character forms and `\u00XX`.
+    let finding = |kind: &str, offset: usize, evidence: &str| FindingDto {
+        kind: kind.into(),
+        group: "DM".into(),
+        category: "parsing_error".into(),
+        fixability: "automatic".into(),
+        offset,
+        evidence: evidence.into(),
+    };
+    let dto = CheckResponse {
+        clean: false,
+        findings: vec![
+            finding("DM3", 12, "duplicate attribute near \u{201c}title=\"a\\b\"\u{201d}"),
+            finding("DM2_3", 40, "tab\there, \u{1} control \\\" end"),
+        ],
+        mitigations: MitigationsDto {
+            script_in_attribute: true,
+            newline_in_url: true,
+            ..MitigationsDto::default()
+        },
+    };
+    let json = serde_json::to_string(&dto).unwrap();
+    assert_eq!(
+        json,
+        r#"{"clean":false,"findings":[{"category":"parsing_error","evidence":"duplicate attribute near “title=\"a\\b\"”","fixability":"automatic","group":"DM","kind":"DM3","offset":12},{"category":"parsing_error","evidence":"tab\there, \u0001 control \\\" end","fixability":"automatic","group":"DM","kind":"DM2_3","offset":40}],"mitigations":{"newline_and_lt_in_url":false,"newline_in_url":true,"script_in_attribute":true,"script_in_nonced_script":false}}"#
+    );
+    let back: CheckResponse = serde_json::from_str(&json).unwrap();
+    assert_eq!(back, dto);
+}
+
+#[test]
+fn metricsz_golden() {
+    use hv_server::metrics::{EndpointStats, MetricsSnapshot};
+    let stats = |served: u64, client_errors: u64, samples: &[u64]| {
+        let mut latency = hv_core::DurationHistogram::default();
+        for &nanos in samples {
+            latency.record(nanos);
+        }
+        EndpointStats { served, client_errors, server_errors: 0, panics: 0, latency }
+    };
+    let snapshot = MetricsSnapshot {
+        accepted: 4,
+        shed: 1,
+        timeouts: 0,
+        served: 3,
+        panics: 0,
+        endpoints: [
+            ("POST /v1/check".to_owned(), stats(2, 1, &[30_000, 1_500])),
+            ("GET /healthz".to_owned(), stats(1, 0, &[0])),
+        ]
+        .into_iter()
+        .collect(),
+    };
+    assert_eq!(
+        serde_json::to_string(&snapshot).unwrap(),
+        concat!(
+            r#"{"accepted":4,"endpoints":{"GET /healthz":{"client_errors":0,"latency":{"buckets":"#,
+            r#"[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"#,
+            r#""count":1,"sum_nanos":0},"panics":0,"served":1,"server_errors":0},"#,
+            r#""POST /v1/check":{"client_errors":1,"latency":{"buckets":"#,
+            r#"[0,0,0,0,0,0,0,0,0,0,1,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"#,
+            r#""count":2,"sum_nanos":31500},"panics":0,"served":2,"server_errors":0}},"#,
+            r#""panics":0,"served":3,"shed":1,"timeouts":0}"#,
+        )
+    );
+}
