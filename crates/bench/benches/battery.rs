@@ -7,8 +7,8 @@
 //! The `fused_*` / `legacy_*` pairs compare the fused single-pass engine
 //! against `hv_fuzz::reference::checkers` (each rule scanning the full
 //! context on its own) on the same reused-buffer footing, across a
-//! multi-finding page, a clean page, and a single-finding page. Results
-//! are recorded in `BENCH_battery.json`.
+//! multi-finding page, a clean page, and a single-finding page. DESIGN §4
+//! quotes the ratios measured when the engine was fused.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hv_bench::{sample_pages, total_bytes};

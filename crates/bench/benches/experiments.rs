@@ -104,7 +104,7 @@ fn bench_statistics(c: &mut Criterion) {
     // The store keeps its side studies after the first render, so the
     // render above times them once at most; this bench runs them uncached.
     g.bench_function("aux_studies", |b| {
-        b.iter(|| black_box(AuxStudies::run(store.seed, store.scale)).longtail.popular_domains)
+        b.iter(|| black_box(AuxStudies::run(store)).longtail.popular_domains)
     });
     g.finish();
 }

@@ -4,8 +4,9 @@
 //! `plain_text` is dominated by inert character runs (the batched
 //! input-stream fast path's best case), `attribute_heavy` by the tag and
 //! attribute state machinery, `entity_heavy` by character-reference
-//! resolution, and `script_heavy` by raw script data. The MB/s numbers for
-//! this bench are tracked across PRs in `BENCH_parse.json` at the repo root.
+//! resolution, and `script_heavy` by raw script data. README's parser
+//! section quotes the MiB/s this bench measured when atom interning landed;
+//! `e2ebench/` tracks parse cost per page end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;

@@ -2,7 +2,7 @@
 //! aggregate index build, and per-query latency with and without the
 //! index.
 //!
-//! Together these back `BENCH_store.json`: the v1 binary store should
+//! Together these back DESIGN §12's numbers: the v1 binary store should
 //! load no slower than the v0 JSON blob it replaces, and index-backed
 //! queries should beat the legacy per-query record folds by orders of
 //! magnitude (each legacy query walks every record; the index walks them

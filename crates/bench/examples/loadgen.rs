@@ -13,7 +13,8 @@
 //!     --clients 4 --requests 200 --threads 4 --queue-depth 64
 //! ```
 //!
-//! The output of the canonical 4×200 run is recorded in `BENCH_serve.json`.
+//! CI's serve smoke runs this 4×200 profile and a 16×50 saturation profile
+//! (DESIGN §10) on every commit.
 
 use hv_bench::loadgen::{run, LoadgenOptions};
 use hv_server::{serve, ServeOptions};

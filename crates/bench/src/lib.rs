@@ -62,9 +62,8 @@ pub fn violating_page() -> String {
 }
 
 /// A large multi-finding page: `n` repeated fragments, each expressing
-/// several violation kinds (FB2, FB1, DM3, HF4, …). Deterministic, so the
-/// fused-vs-legacy numbers in `BENCH_battery.json` describe the same bytes
-/// run to run. With `n = 400` the page is ~60 KiB with ~2000 findings —
+/// several violation kinds (FB2, FB1, DM3, HF4, …). Deterministic, so
+/// fused-vs-legacy numbers describe the same bytes run to run. With `n = 400` the page is ~60 KiB with ~2000 findings —
 /// large enough that dispatch strategy, not fixture noise, dominates.
 pub fn dense_violating_page(n: usize) -> String {
     use std::fmt::Write;
@@ -171,7 +170,7 @@ const WORDS: &[&str] = &[
 
 /// A deterministic synthetic page of roughly `target` bytes exercising one
 /// workload profile. Pure function of its arguments — no RNG, so before and
-/// after numbers in BENCH_parse.json describe the same bytes.
+/// after numbers describe the same bytes.
 pub fn profile_page(profile: &str, target: usize) -> String {
     use std::fmt::Write;
     let mut out = String::with_capacity(target + 256);

@@ -1,8 +1,8 @@
 //! A minimal concurrent HTTP/1.1 load generator for `hva serve`.
 //!
 //! Used three ways: by `benches/serve.rs` for round-trip latency numbers,
-//! by `examples/loadgen.rs` as the CI smoke driver (and the source of
-//! `BENCH_serve.json`), and by the root `tests/serve_api.rs` saturation
+//! by `examples/loadgen.rs` as the CI serve-smoke driver (DESIGN §10), and
+//! by the root `tests/serve_api.rs` saturation
 //! test. It is a *client* — it speaks just enough HTTP/1.1 to exercise the
 //! server's wire surface: one `POST /v1/check` per request, `Content-Length`
 //! framed, `Connection: close` (each request is a fresh connection, so the

@@ -451,12 +451,13 @@ impl IndexedStore {
         }
     }
 
-    /// The §5.1/§5.2 side studies for the store's (seed, scale). They are
-    /// computed from the synthetic archive, not from the records, on first
-    /// use — at most once per store, however many renders or server
-    /// workers ask.
+    /// The §5.1/§5.2 side studies for this store, computed on first use —
+    /// at most once per store, however many renders or server workers
+    /// ask. §5.2's popular side reads the store's 2021 records; §5.1, the
+    /// long tail and any popular domain the records lack come from the
+    /// synthetic archive of the store's (seed, scale).
     pub fn aux(&self) -> &AuxStudies {
-        self.aux.get_or_init(|| AuxStudies::run(self.store.seed, self.store.scale))
+        self.aux.get_or_init(|| AuxStudies::run(&self.store))
     }
 
     /// The underlying store, for callers that need to mutate or persist.

@@ -1,18 +1,26 @@
-//! The paper's two side analyses, run end to end.
+//! The paper's two side analyses.
 //!
 //! * [`dynamic_study`] — §5.1: check the dynamically loaded fragments of
 //!   the top-K domains in the 2021 snapshot (the paper used the top 1K in
 //!   July 2021).
 //! * [`longtail_study`] — §5.2: compare a random long-tail sample against
-//!   the popular universe on violation prevalence and per-domain counts.
-//!   Both populations are scanned by the one scan engine ([`crate::run`]).
-//! * [`AuxStudies::run`] — both, sized to a store's (seed, scale) universe;
-//!   [`IndexedStore::aux`](crate::IndexedStore::aux) runs it at most once
-//!   per store.
+//!   the popular domains on violation prevalence and per-domain counts.
+//!   As in the paper, the popular side is the study's own measurement: a
+//!   popular member takes its kinds from the store's record of it. Members
+//!   the store does not hold, and the long tail, are scanned by the one
+//!   scan engine ([`crate::run`]).
+//! * [`AuxStudies::run`] — both, for one store, sized to its (seed, scale)
+//!   universe; [`IndexedStore::aux`](crate::IndexedStore::aux) runs it at
+//!   most once per store.
+//!
+//! A WARC store's header names seed 0 at scale 0.0, a one-domain universe
+//! it holds no record of, so its popular member is always scanned and
+//! every WARC store renders the same side studies.
 
 use crate::format::StoreHeader;
 use crate::outcome::ErrorClass;
 use crate::run::{scan_snapshots, Listing, PageSource, ScanOptions, Slot};
+use crate::store::{DomainYearRecord, ResultStore};
 use hv_core::{Battery, ViolationKind};
 use hv_corpus::auxstudies::{dynamic_fragments, longtail_snapshot};
 use hv_corpus::htmlgen::page_url;
@@ -20,8 +28,7 @@ use hv_corpus::{Archive, CorpusConfig, DomainSnapshot, Snapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Both side studies for one (seed, scale) universe — what `hva report aux`
-/// renders.
+/// Both side studies for one store — what `hva report aux` renders.
 #[derive(Debug, Clone)]
 pub struct AuxStudies {
     pub dynamic: DynamicStudy,
@@ -29,17 +36,18 @@ pub struct AuxStudies {
 }
 
 impl AuxStudies {
-    /// Rebuild the synthetic archive for (seed, scale) and run both
-    /// studies: §5.1 over the top domains/20 (clamped to 50..=1000), 30
-    /// pages each; §5.2 over domains/10 (clamped to 50..=500) per
-    /// population in the 2021 snapshot.
-    pub fn run(seed: u64, scale: f64) -> Self {
-        let archive = Archive::new(CorpusConfig { seed, scale });
+    /// Rebuild the synthetic archive for the store's (seed, scale) and run
+    /// both studies: §5.1 over the top domains/20 (clamped to 50..=1000),
+    /// 30 pages each; §5.2 over domains/10 (clamped to 50..=500) per
+    /// population in the 2021 snapshot, the popular side read from the
+    /// store's records where it holds them.
+    pub fn run(store: &ResultStore) -> Self {
+        let archive = Archive::new(CorpusConfig { seed: store.seed, scale: store.scale });
         let top_k = (archive.domains().len() / 20).clamp(50, 1000);
         let sample = (archive.domains().len() / 10).clamp(50, 500);
         AuxStudies {
             dynamic: dynamic_study(&archive, top_k, 30),
-            longtail: longtail_study(&archive, sample, Snapshot::ALL[6]),
+            longtail: longtail_study(&archive, &store.records, sample, Snapshot::ALL[6]),
         }
     }
 }
@@ -122,21 +130,38 @@ pub struct LongtailStudy {
 /// Run the §5.2 long-tail comparison over `sample` domains per population:
 /// the archive's top `sample` domains present in `snap` against the first
 /// `sample` long-tail draws. Domains that fail the UTF-8 filter are left
-/// out of both.
-pub fn longtail_study(archive: &Archive, sample: usize, snap: Snapshot) -> LongtailStudy {
+/// out of both. A popular member takes its kinds from its record in
+/// `records`, the one with the same snapshot, domain id and name; members
+/// without one are scanned on the engine, as the long tail is.
+pub fn longtail_study(
+    archive: &Archive,
+    records: &[DomainYearRecord],
+    sample: usize,
+    snap: Snapshot,
+) -> LongtailStudy {
+    let held: BTreeMap<u64, &DomainYearRecord> =
+        records.iter().filter(|r| r.snapshot == snap).map(|r| (r.domain_id, r)).collect();
+    let mut pop = PopulationStats::default();
+    let mut unheld = Vec::new();
     let popular = archive
         .domains()
         .iter()
         .take(sample)
         .filter_map(|d| archive.model.domain_snapshot(d, snap))
-        .filter(|ds| ds.utf8_ok)
-        .collect();
-    let tail = (0..sample as u64)
+        .filter(|ds| ds.utf8_ok);
+    for ds in popular {
+        match held.get(&ds.domain_id) {
+            Some(r) if r.domain_name == ds.domain_name => pop.add(&r.kinds),
+            _ => unheld.push(ds),
+        }
+    }
+    Population { archive, members: unheld }.scan(snap, &mut pop);
+    let tail_members = (0..sample as u64)
         .map(|i| longtail_snapshot(archive.cfg.seed, i, snap, &archive.model))
         .filter(|ds| ds.utf8_ok)
         .collect();
-    let pop = Population { archive, members: popular }.scan(snap);
-    let tail = Population { archive, members: tail }.scan(snap);
+    let mut tail = PopulationStats::default();
+    Population { archive, members: tail_members }.scan(snap, &mut tail);
     LongtailStudy {
         snapshot: snap.crawl_id().to_owned(),
         popular_domains: pop.domains,
@@ -159,14 +184,12 @@ struct Population<'a> {
 }
 
 impl Population<'_> {
-    /// Scan every member on the engine and fold its records' kinds.
-    fn scan(&self, snap: Snapshot) -> PopulationStats {
-        let store = scan_snapshots(self, &[snap], ScanOptions::new());
-        let mut stats = PopulationStats::default();
-        for record in &store.records {
+    /// Scan every member on the engine and fold its records' kinds into
+    /// `stats`.
+    fn scan(&self, snap: Snapshot, stats: &mut PopulationStats) {
+        for record in &scan_snapshots(self, &[snap], ScanOptions::new()).records {
             stats.add(&record.kinds);
         }
-        stats
     }
 }
 
@@ -307,8 +330,10 @@ mod tests {
         kinds
     }
 
-    /// The engine scan equals the reference loop. Scale 0.0 is the
-    /// one-domain universe a WARC store's header rebuilds; at 0.01 (249
+    /// The study equals the reference loop whichever popular members the
+    /// records hold: every record of a clean scan of `snap`, every other
+    /// one (the rest are scanned) or none (all are scanned). Scale 0.0 is
+    /// the one-domain universe a WARC store's header rebuilds; at 0.01 (249
     /// domains) the sample really cuts the popular side. Seed 4740657 at
     /// 0.002 in ALL[6] has a non-UTF-8 popular domain, and seed 20221025
     /// at 0.002 in ALL[6] two non-UTF-8 long-tail domains, so the UTF-8
@@ -320,14 +345,58 @@ mod tests {
                 let a = Archive::new(CorpusConfig { seed, scale });
                 let sample = (a.domains().len() / 10).clamp(50, 500);
                 for snap in [Snapshot::ALL[0], Snapshot::ALL[6]] {
+                    let reference = longtail_study_reference(&a, sample, snap);
+                    let all = scan_snapshots(&a, &[snap], ScanOptions::new()).records;
+                    let every_other: Vec<DomainYearRecord> =
+                        all.iter().step_by(2).cloned().collect();
+                    for (held, records) in [("all", &all), ("every other", &every_other)] {
+                        assert_eq!(
+                            longtail_study(&a, records, sample, snap),
+                            reference,
+                            "seed {seed}, scale {scale}, {snap}, {held} records"
+                        );
+                    }
                     assert_eq!(
-                        longtail_study(&a, sample, snap),
-                        longtail_study_reference(&a, sample, snap),
-                        "seed {seed}, scale {scale}, {snap}"
+                        longtail_study(&a, &[], sample, snap),
+                        reference,
+                        "seed {seed}, scale {scale}, {snap}, no records"
                     );
                 }
             }
         }
+    }
+
+    /// A popular member reads only the record with its own snapshot, id
+    /// and name. Every record below claims no violations: under another
+    /// name or snapshot it is not read, so the result is the reference's;
+    /// under the member's own it is, so no popular domain violates.
+    #[test]
+    fn popular_members_read_only_their_own_records() {
+        let a = Archive::new(CorpusConfig { seed: 2024, scale: 0.002 });
+        let snap = Snapshot::ALL[6];
+        let reference = longtail_study_reference(&a, 50, snap);
+        let mut records = scan_snapshots(&a, &[snap], ScanOptions::new()).records;
+        for r in &mut records {
+            r.kinds.clear();
+        }
+        let renamed: Vec<DomainYearRecord> = records
+            .iter()
+            .map(|r| DomainYearRecord {
+                domain_name: format!("{}.warc", r.domain_name),
+                ..r.clone()
+            })
+            .collect();
+        let moved: Vec<DomainYearRecord> = records
+            .iter()
+            .map(|r| DomainYearRecord { snapshot: Snapshot::ALL[7], ..r.clone() })
+            .collect();
+        assert_eq!(longtail_study(&a, &renamed, 50, snap), reference);
+        assert_eq!(longtail_study(&a, &moved, 50, snap), reference);
+        let own = longtail_study(&a, &records, 50, snap);
+        assert_eq!(own.popular_domains, reference.popular_domains);
+        assert_eq!(own.popular_violating_share, 0.0);
+        assert!(reference.popular_violating_share > 0.0);
+        assert_eq!(own.longtail_violating_share, reference.longtail_violating_share);
     }
 
     #[test]
@@ -364,7 +433,7 @@ mod tests {
     #[test]
     fn longtail_study_matches_section_5_2() {
         let a = archive();
-        let study = longtail_study(&a, 120, Snapshot::ALL[6]);
+        let study = longtail_study(&a, &[], 120, Snapshot::ALL[6]);
         assert!(study.popular_domains > 80);
         assert!(study.longtail_domains > 80);
         // Same general pattern: both populations mostly violate…

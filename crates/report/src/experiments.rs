@@ -315,7 +315,7 @@ pub fn churn(store: &IndexedStore) -> String {
 }
 
 /// §5.1/§5.2: the auxiliary studies (dynamic content and long tail), run
-/// for the store's (seed, scale) by [`IndexedStore::aux`].
+/// once per store by [`IndexedStore::aux`].
 pub fn aux_studies(store: &IndexedStore) -> String {
     let AuxStudies { dynamic, longtail: lt } = store.aux();
     let mut s = String::from("Auxiliary studies (§5.1 / §5.2)\n\n");

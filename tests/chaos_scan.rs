@@ -7,7 +7,8 @@
 //! whose pages saw no faults are byte-identical to a zero-fault run.
 
 use html_violations::hv_corpus::{Archive, CorpusConfig, FaultPlan, Snapshot};
-use html_violations::hv_pipeline::{run, ErrorClass, ResultStore};
+use html_violations::hv_pipeline::{run, ErrorClass, IndexedStore, ResultStore};
+use html_violations::hv_report;
 
 const RATES: [f64; 3] = [0.0, 0.1, 0.5];
 const THREADS: [usize; 2] = [1, 4];
@@ -108,4 +109,39 @@ fn heavy_fault_rate_still_accounts_for_every_page() {
     sorted.sort_by_key(|q| (q.snapshot, q.domain_id, q.page_index));
     assert_eq!(store.quarantine, sorted, "quarantine persists in canonical order");
     assert!(store.quarantine.iter().all(|q| q.class != ErrorClass::ParserPanic));
+}
+
+/// `hv_report::render("aux", …)` of a store scanned at seed 7, scale 0.002
+/// with faults `9:0.9` (`hva scan --seed 7 --scale 0.002 --inject-faults
+/// 9:0.9` renders the same text).
+const FAULTED_AUX: &str = "\
+Auxiliary studies (§5.1 / §5.2)
+
+§5.1 dynamically loaded content (top 48 domains, 2021):
+  fragments checked:          2179
+  domains with ≥1 violation:  62.5%   (paper: \"more than 60%\")
+  top fragment violations:    DM3 (17), FB2 (17), HF4 (9)
+  math-related violations:    0   (paper: \"hardly appear\")
+
+§5.2 less popular websites (48 per population, CC-MAIN-2021-04):
+  violating share:   popular 66.7%  vs  long tail 74.0%
+  kinds per domain:  popular 2.31  vs  long tail 2.05   (paper: popular sites violate more)
+  HF5 (namespace):   popular 8.3%  vs  long tail 0.0%   (paper: complex SVGs on top sites)
+";
+
+/// §5.2's popular side reads a faulted store's own records: the kinds of
+/// its quarantined pages are missing, so kinds per violating domain read
+/// 2.31 where a clean scan reads 2.38, and every other line is the clean
+/// scan's.
+#[test]
+fn faulted_store_side_studies_read_its_records() {
+    let archive = Archive::new(CorpusConfig { seed: 7, scale: 0.002 });
+    // The studies read only the 2021 records, so that snapshot suffices.
+    let aux = |opts| {
+        let store = run::scan_snapshots(&archive, &[Snapshot::ALL[6]], opts);
+        hv_report::render("aux", &IndexedStore::new(store)).unwrap()
+    };
+    let faults = FaultPlan::new(SEED, 0.9).unwrap();
+    assert_eq!(aux(run::ScanOptions::new().inject_faults(faults)), FAULTED_AUX);
+    assert_eq!(aux(run::ScanOptions::new()), FAULTED_AUX.replace("popular 2.31", "popular 2.38"));
 }

@@ -62,14 +62,39 @@ fn golden_migration_renders_every_experiment_byte_identical() {
         assert_eq!(from_v0, from_live, "{name}: v0 vs live-index render diverged");
     }
 
-    // The side studies are not read from the records, so the three-way
-    // comparison above cannot catch a change to them: pin their text.
+    // Of the side studies only §5.2's popular side reads the records, so
+    // the three-way comparison above cannot catch a change to the rest:
+    // pin their text.
     let golden = std::fs::read_to_string(AUX_GOLDEN).unwrap();
     for (label, store) in [("v0", &v0), ("v1", &v1), ("live", &live)] {
         let aux = hv_report::render("aux", store).unwrap();
         assert_eq!(aux, golden, "{label}: aux render differs from {AUX_GOLDEN}");
     }
     std::fs::remove_file(&v1_path).ok();
+}
+
+/// A partial load that dropped the 2021 segment holds none of §5.2's
+/// popular domains, so it scans them all, and renders the same side
+/// studies as the complete (clean) store, which reads them.
+#[test]
+fn partial_load_without_2021_renders_the_same_aux_text() {
+    let path = temp_path("no-2021.hvs");
+    ResultStore::load(Path::new(FIXTURE)).unwrap().save_v1(&path).unwrap();
+    // Every record frame and the footer of a segment name its snapshot;
+    // damage the first that names 2021.
+    let mut bytes = std::fs::read(&path).unwrap();
+    let needle = b"\"snapshot\":6";
+    let at = bytes.windows(needle.len()).position(|w| w == needle).unwrap();
+    bytes[at + 1] ^= 0x20;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let partial = IndexedStore::load_with(&path, LoadOptions { allow_partial: true }).unwrap();
+    assert_eq!(partial.dropped.len(), 1);
+    assert!(partial.by_snapshot(Snapshot::ALL[6]).next().is_none());
+    assert!(partial.by_snapshot(Snapshot::ALL[7]).next().is_some());
+    let golden = std::fs::read_to_string(AUX_GOLDEN).unwrap();
+    assert_eq!(hv_report::render("aux", &partial).unwrap(), golden);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

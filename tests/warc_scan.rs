@@ -14,9 +14,10 @@ use html_violations::hv_corpus::warc::{self, CdxjLine, WarcWriter};
 use html_violations::hv_corpus::{Archive, CorpusConfig, FaultPlan, Snapshot};
 use html_violations::hv_pipeline::warcscan::{discover, scan_warc, WarcInput, WarcSource};
 use html_violations::hv_pipeline::{
-    run_chaos, scan_snapshots, scan_streamed, DomainYearRecord, ErrorClass, ResultStore,
-    ScanOptions,
+    run_chaos, scan_snapshots, scan_streamed, DomainYearRecord, ErrorClass, IndexedStore,
+    ResultStore, ScanOptions,
 };
+use html_violations::hv_report;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -26,6 +27,24 @@ const DAMAGED_HOST: &str = "damaged.example";
 const DAMAGED: u64 = 0x59ba_c1ad_86ab_9448;
 const AEROLABS: u64 = 0x2371_4d07_ec22_97b3;
 const STORE_DIGEST: u64 = 0xb0c7_21c9_ebd9_f046;
+
+/// `hv_report::render("aux", …)` of every WARC store. Its header names
+/// seed 0 at scale 0.0, a one-domain universe the WARC holds no record of,
+/// so the side studies never read a WARC store's records.
+const WARC_AUX: &str = "\
+Auxiliary studies (§5.1 / §5.2)
+
+§5.1 dynamically loaded content (top 1 domains, 2021):
+  fragments checked:          49
+  domains with ≥1 violation:  0.0%   (paper: \"more than 60%\")
+  top fragment violations:   \x20
+  math-related violations:    0   (paper: \"hardly appear\")
+
+§5.2 less popular websites (1 per population, CC-MAIN-2021-04):
+  violating share:   popular 0.0%  vs  long tail 61.2%
+  kinds per domain:  popular 0.00  vs  long tail 1.77   (paper: popular sites violate more)
+  HF5 (namespace):   popular 0.0%  vs  long tail 2.0%   (paper: complex SVGs on top sites)
+";
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hv-warc-scan-{name}-{}", std::process::id()));
@@ -143,6 +162,20 @@ fn damaged_warc_scan_is_pinned() {
     let one = json_at(1);
     assert_eq!(one, json_at(4));
     assert_eq!(one, serde_json::to_string(&store).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A WARC store of the 2021 snapshot, the one §5.2 reads, renders the
+/// side studies of the seed-0 universe its header names, not of its
+/// records (see [`WARC_AUX`]).
+#[test]
+fn warc_store_renders_the_seed_0_side_studies() {
+    let dir = tmpdir("aux");
+    let archive = Archive::new(CorpusConfig { seed: 4740657, scale: 0.002 });
+    warc::export_snapshot(&archive, Snapshot::ALL[6], &dir, 4).unwrap();
+    let store = scan_warc(&discover(&dir).unwrap()).unwrap();
+    assert_eq!((store.seed, store.scale, store.records.len()), (0, 0.0, 4));
+    assert_eq!(hv_report::render("aux", &IndexedStore::new(store)).unwrap(), WARC_AUX);
     std::fs::remove_dir_all(&dir).ok();
 }
 
