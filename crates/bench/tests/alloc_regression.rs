@@ -74,8 +74,8 @@ fn attribute_profiles_parse_allocs_within_ceiling() {
 }
 
 /// The Θ(k²) formatting-reconstruction page (the end-to-end benchmark's
-/// 2n member): re-created elements share their start tag's attribute
-/// list, so the count tracks tokens, not the ~k²/2 elements built.
+/// 2n member): re-created elements hold their start tag's attribute
+/// range, so the count tracks tokens, not the ~k²/2 elements built.
 #[test]
 fn formatting_page_parse_allocs_within_ceiling() {
     let page = formatting_page(FORMATTING_BYTES);
@@ -119,13 +119,14 @@ fn typical_pages_allocs_within_ceiling() {
 
 // Recorded ceilings: the measurement + ~15% headroom. Every parse here
 // follows a warm-up parse on the same thread, so it reuses the thread's
-// spare parse buffers; "unrecycled" counts are from before that store,
-// "copied" ones from before text runs and attribute lists moved into the
-// DOM uncopied.
-const DENSE_PARSE_CEILING: u64 = 4_800; // measured 4,175 (4,457 unrecycled, 7,657 copied, 53,274 pre-interning)
-const DENSE_BATTERY_CEILING: u64 = 9_400; // measured 8,186 (8,468 unrecycled, 16,869 copied, 75,287 pre-interning)
-const ATTR_HEAVY_CEILING: u64 = 4_820; // measured 4,193 (4,481 unrecycled, 8,918 copied, 103,196 pre-interning)
-const ATTR_SOUP_CEILING: u64 = 7_250; // measured 6,304 (6,590 unrecycled, 13,124 copied, 134,712 pre-interning)
-const FORMATTING_PARSE_CEILING: u64 = 3_870; // measured 3,367 (3,648 unrecycled, 5,432 copied, 801,095 unshared)
-const TYPICAL_PARSE_CEILING: f64 = 71.5; // measured 62.0 (132.8 unrecycled, 238.9 copied)
+// spare parse buffers; "shared" counts are from before each document kept
+// its attributes in one recycled arena (one shared list per start tag),
+// "unrecycled" ones from before that store, "copied" ones from before text
+// runs and attribute lists moved into the DOM uncopied.
+const DENSE_PARSE_CEILING: u64 = 2_470; // measured 2,151 (4,175 shared, 4,457 unrecycled, 7,657 copied, 53,274 pre-interning)
+const DENSE_BATTERY_CEILING: u64 = 7_070; // measured 6,152 (8,186 shared, 8,468 unrecycled, 16,869 copied, 75,287 pre-interning)
+const ATTR_HEAVY_CEILING: u64 = 2_280; // measured 1,982 (4,193 shared, 4,481 unrecycled, 8,918 copied, 103,196 pre-interning)
+const ATTR_SOUP_CEILING: u64 = 3_490; // measured 3,032 (6,304 shared, 6,590 unrecycled, 13,124 copied, 134,712 pre-interning)
+const FORMATTING_PARSE_CEILING: u64 = 1_800; // measured 1,569 (3,367 shared, 3,648 unrecycled, 5,432 copied, 801,095 unshared)
+const TYPICAL_PARSE_CEILING: f64 = 26.5; // measured 23.0 (62.0 shared, 132.8 unrecycled, 238.9 copied)
 const TYPICAL_BATTERY_CEILING: f64 = 7.0; // measured 6.1 (46.7 lowercasing values)

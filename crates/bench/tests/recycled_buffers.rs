@@ -1,8 +1,9 @@
 //! Parse buffers recycled across pages change no output.
 //!
 //! Each thread keeps the buffers of the pages it parsed (the DOM's node
-//! vector, text strings, tokenizer scratch, stack tables) and hands them
-//! to its next parse. These tests parse pages back to back on one thread,
+//! vector and attribute arena, text strings, tokenizer scratch, stack
+//! tables, the error, event and kept-tag lists) and hands them to its next
+//! parse. These tests parse pages back to back on one thread,
 //! after pathological pages that grow every buffer, and compare each
 //! output with what a fresh thread, whose store is empty, produces.
 
@@ -12,19 +13,21 @@ use spec_html::serializer::serialize;
 
 /// Everything a page's parse hands the checkers, rendered to one string:
 /// serialized DOM, parse errors, tree events, the element stack at EOF,
-/// and the kept start tags.
+/// the kept start tags with their attributes, and the whole DOM arena
+/// (every node and every attribute list, referenced or not).
 fn output(page: &str) -> String {
     let cx = CheckContext::new(page);
     let p = &cx.parse;
-    let tags: Vec<_> = cx.start_tags().collect();
+    let tags: Vec<_> = cx.start_tags().map(|t| (t, p.dom.attrs(t.attrs))).collect();
     format!(
-        "{}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
+        "{}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
         serialize(&p.dom),
         p.errors,
         p.events,
         p.open_at_eof,
         p.quirks,
-        tags
+        tags,
+        p.dom
     )
 }
 
@@ -87,4 +90,33 @@ fn nothing_of_one_page_shows_in_the_next() {
     })
     .join()
     .expect("no leak");
+}
+
+/// The attribute arena reaches the next page empty: after pages whose
+/// attribute names and values say `secret` (kept tags, merged html and
+/// body lists, re-created formatting copies, renamed foreign attributes,
+/// a tag cut off at EOF), no attribute of theirs is in the next page's
+/// arena.
+#[test]
+fn no_attribute_of_one_page_shows_in_the_next() {
+    std::thread::spawn(|| {
+        for first in [
+            "<p secret=1>x",
+            "<p title=secret>x",
+            "<b class=secret>1<p>2<p>3",
+            "<html secret=a><body title=secret><body secret=b><html lang=secret>",
+            "<svg viewbox=secret><rect secret=x></svg>",
+            "<p title=\"sec&amp;ret\" secret>",
+            "<div secret=x></div secret=y><p title=secret",
+        ] {
+            let _ = output(first);
+            for next in ["<p>x", "<p title=t>x", "<body class=c><body id=d><b class=e>1<p>2"] {
+                let got = output(next);
+                assert!(!got.contains("secret"), "after {first:?}, {next:?} gave {got}");
+                assert_eq!(got, fresh_output(next), "after {first:?}");
+            }
+        }
+    })
+    .join()
+    .expect("no attribute leak");
 }

@@ -97,7 +97,7 @@ fn relocate_head_content(dom: &mut Document) {
         if dom.is_html(id, "base") {
             bases.push(id);
         } else if dom.is_html(id, "meta")
-            && dom.element(id).is_some_and(|e| e.has_attr("http-equiv"))
+            && dom.attr(id, "http-equiv").is_some()
             && !inside_head[id.index()]
         {
             stray_metas.push(id);

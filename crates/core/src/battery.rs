@@ -217,7 +217,7 @@ impl Battery {
         // the same stream even when no rule wants tags.
         let mut mitigations = MitigationAccumulator::default();
         for tag in cx.start_tags() {
-            mitigations.observe(tag);
+            mitigations.observe(tag, cx.parse.dom.attrs(tag.attrs));
             for &i in tags_idx.iter() {
                 dispatch!(i, checks[i].on_start_tag(cx, tag, out));
             }

@@ -83,8 +83,8 @@ impl Check for De3_1 {
         Interest::START_TAGS
     }
 
-    fn on_start_tag(&mut self, _cx: &CheckContext<'_>, tag: &Tag, out: &mut Vec<Finding>) {
-        for attr in &tag.attrs {
+    fn on_start_tag(&mut self, cx: &CheckContext<'_>, tag: &Tag, out: &mut Vec<Finding>) {
+        for attr in cx.parse.dom.attrs(tag.attrs) {
             if tags::is_url_attribute(&attr.name)
                 && attr.raw_value().contains('\n')
                 && attr.raw_value().contains('<')
@@ -113,8 +113,8 @@ impl Check for De3_2 {
         Interest::START_TAGS
     }
 
-    fn on_start_tag(&mut self, _cx: &CheckContext<'_>, tag: &Tag, out: &mut Vec<Finding>) {
-        for attr in &tag.attrs {
+    fn on_start_tag(&mut self, cx: &CheckContext<'_>, tag: &Tag, out: &mut Vec<Finding>) {
+        for attr in cx.parse.dom.attrs(tag.attrs) {
             if super::contains_ascii_ci(&attr.value, "<script") {
                 out.push(Finding::new(
                     ViolationKind::DE3_2,
@@ -141,8 +141,8 @@ impl Check for De3_3 {
         Interest::START_TAGS
     }
 
-    fn on_start_tag(&mut self, _cx: &CheckContext<'_>, tag: &Tag, out: &mut Vec<Finding>) {
-        for attr in &tag.attrs {
+    fn on_start_tag(&mut self, cx: &CheckContext<'_>, tag: &Tag, out: &mut Vec<Finding>) {
+        for attr in cx.parse.dom.attrs(tag.attrs) {
             if attr.name == "target" && attr.raw_value().contains('\n') {
                 out.push(Finding::new(
                     ViolationKind::DE3_3,

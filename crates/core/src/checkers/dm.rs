@@ -46,7 +46,9 @@ impl Check for Dm1 {
 
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {
         let Some(e) = html_element(cx, id, &META) else { return };
-        let Some(what) = e.attrs.iter().find(|a| a.name == HTTP_EQUIV) else { return };
+        let Some(what) = cx.parse.dom.attrs(e.attrs).iter().find(|a| a.name == HTTP_EQUIV) else {
+            return;
+        };
         if !cx.inside_head(id) {
             out.push(Finding::new(
                 ViolationKind::DM1,
@@ -160,7 +162,7 @@ impl Check for Dm2_3 {
         if self.seen_url_element.is_none()
             && !is_html(e, &HTML)
             && !is_html(e, &HEAD)
-            && e.attrs.iter().any(|a| tags::is_url_attribute_atom(&a.name))
+            && cx.parse.dom.attrs(e.attrs).iter().any(|a| tags::is_url_attribute_atom(&a.name))
         {
             self.seen_url_element = Some(e.name.clone());
         }

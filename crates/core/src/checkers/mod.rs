@@ -28,7 +28,7 @@ use crate::taxonomy::ViolationKind;
 use spec_html::dom::NodeId;
 use spec_html::errors::ParseError;
 use spec_html::tags;
-use spec_html::tokenizer::Tag;
+use spec_html::tokenizer::{Attr, Tag};
 use spec_html::Atom;
 use spec_html::TreeEvent;
 
@@ -176,10 +176,11 @@ const NONCE: Atom = Atom::known("nonce");
 const SCRIPT: Atom = Atom::known("script");
 
 impl MitigationAccumulator {
-    pub(crate) fn observe(&mut self, tag: &Tag) {
+    /// Fold in `tag`, whose attributes are `attrs`.
+    pub(crate) fn observe(&mut self, tag: &Tag, attrs: &[Attr]) {
         let is_script = tag.name == SCRIPT;
-        let has_nonce = tag.attrs.iter().any(|a| a.name == NONCE);
-        for attr in &tag.attrs {
+        let has_nonce = attrs.iter().any(|a| a.name == NONCE);
+        for attr in attrs {
             if contains_ascii_ci(&attr.value, "<script") {
                 self.flags.script_in_attribute = true;
                 if is_script && has_nonce {
@@ -204,7 +205,7 @@ impl MitigationAccumulator {
 pub fn mitigation_flags(cx: &CheckContext<'_>) -> MitigationFlags {
     let mut acc = MitigationAccumulator::default();
     for tag in cx.start_tags() {
-        acc.observe(tag);
+        acc.observe(tag, cx.parse.dom.attrs(tag.attrs));
     }
     acc.finish()
 }

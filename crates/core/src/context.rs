@@ -7,7 +7,7 @@
 
 use spec_html::dom::{Document, NodeId};
 use spec_html::tokenizer::Tag;
-use spec_html::{Atom, ParseOutput};
+use spec_html::{Atom, KeptTags, ParseOutput};
 use std::cell::{Cell, OnceCell};
 
 const BODY: Atom = Atom::known("body");
@@ -15,8 +15,8 @@ const BODY: Atom = Atom::known("body");
 /// Which start tags the checkers can ever act on: tags carrying at least
 /// one attribute (DE3_1/DE3_2/DE3_3 and the §4.5 mitigation flags inspect
 /// attribute values) plus every `<body>` tag (HF3 counts them). Everything
-/// else streams past without being kept. A kept tag shares its attribute
-/// list with the DOM, so keeping it copies no attribute.
+/// else streams past without being kept. A kept tag holds its attribute
+/// range of the DOM's arena, so keeping it copies no attribute.
 fn checker_relevant(tag: &Tag) -> bool {
     !tag.attrs.is_empty() || tag.name == BODY
 }
@@ -28,8 +28,9 @@ pub struct CheckContext<'a> {
     /// Full parse: DOM, tokenizer errors, tree events.
     pub parse: ParseOutput,
     /// Checker-relevant start tags, collected streaming from the parse via
-    /// the tag sink (the parser itself no longer retains tags).
-    start_tags: Vec<Tag>,
+    /// the tag sink (the parser itself no longer retains tags). Their
+    /// attributes are read through `parse.dom.attrs`.
+    start_tags: KeptTags,
     /// Resumable char→byte cursor for [`CheckContext::excerpt`]: findings
     /// arrive in source order, so successive excerpt offsets are monotone
     /// and each call advances from where the last one stopped instead of
@@ -57,7 +58,7 @@ pub(crate) fn head_members(dom: &Document) -> Vec<bool> {
 impl<'a> CheckContext<'a> {
     /// Parse `raw` and build the context.
     pub fn new(raw: &'a str) -> Self {
-        let mut start_tags = Vec::new();
+        let mut start_tags = KeptTags::new();
         let parse = spec_html::parse_document_with(raw, &mut |tag| {
             if checker_relevant(tag) {
                 start_tags.push(tag.clone());
@@ -78,7 +79,7 @@ impl<'a> CheckContext<'a> {
     /// structural checks that need a document head/body (HF1–HF3) cannot
     /// fire here, exactly as in the paper's fragment analysis.
     pub fn fragment(raw: &'a str, context: &str) -> Self {
-        let mut start_tags = Vec::new();
+        let mut start_tags = KeptTags::new();
         let parse = spec_html::parse_fragment_with_sink(raw, context, &mut |tag| {
             if checker_relevant(tag) {
                 start_tags.push(tag.clone());

@@ -151,11 +151,11 @@ impl Sanitizer {
     }
 
     fn sanitize_once(&self, html: &str) -> String {
-        let parsed = parse_fragment(html, "div");
-        let mut dom = parsed.dom;
+        let mut parsed = parse_fragment(html, "div");
+        let dom = &mut parsed.dom;
         let root = dom.children(dom.root()).next().expect("fragment parse always yields a root");
-        self.clean(&mut dom, root);
-        serializer::serialize_children(&dom, root)
+        self.clean(dom, root);
+        serializer::serialize_children(dom, root)
     }
 
     /// Walk the subtree, removing disallowed elements (with their content:
@@ -178,21 +178,19 @@ impl Sanitizer {
                 dom.detach(child);
                 continue;
             }
-            if let Some(e) = dom.element_mut(child) {
-                e.attrs.retain(|a| {
-                    let name = a.name.to_ascii_lowercase();
-                    if !self.allowed_attributes.contains(name.as_str()) {
+            dom.retain_attrs(child, |a| {
+                let name = a.name.to_ascii_lowercase();
+                if !self.allowed_attributes.contains(name.as_str()) {
+                    return false;
+                }
+                if name == "href" || name == "src" {
+                    let v = a.value.trim().to_ascii_lowercase();
+                    if v.starts_with("javascript:") || v.starts_with("data:") {
                         return false;
                     }
-                    if name == "href" || name == "src" {
-                        let v = a.value.trim().to_ascii_lowercase();
-                        if v.starts_with("javascript:") || v.starts_with("data:") {
-                            return false;
-                        }
-                    }
-                    true
-                });
-            }
+                }
+                true
+            });
             self.clean(dom, child);
         }
     }
@@ -209,7 +207,7 @@ pub fn is_executable(html: &str) -> bool {
         if e.name.eq_ignore_ascii_case("script") && e.ns == Namespace::Html {
             return true;
         }
-        for a in &e.attrs {
+        for a in out.dom.attrs(e.attrs) {
             if a.name.starts_with("on") {
                 return true;
             }
@@ -255,8 +253,8 @@ mod tests {
 
     #[test]
     fn handlers_are_stripped_from_every_recreated_copy() {
-        // Each later paragraph re-creates the <b>, sharing one attribute
-        // list; stripping the handler from one copy must reach them all.
+        // Each later paragraph re-creates the <b>, holding one attribute
+        // range; stripping the handler from one copy must reach them all.
         let out = Sanitizer::permissive().sanitize("<p><b onclick=go() class=x>1<p>2<p>3");
         assert_eq!(
             out,

@@ -237,9 +237,11 @@ pub fn parse_record(raw: &[u8]) -> Result<ReadRecord, WarcError> {
         }
     }
     let content_length = content_length.ok_or(WarcError::MissingContentLength)?;
-    let content = raw
-        .get(head_end + 4..head_end + 4 + content_length)
-        .ok_or(WarcError::Truncated { need: head_end + 4 + content_length, have: raw.len() })?;
+    // A length near `usize::MAX` saturates: it is a record we do not have,
+    // not an overflow.
+    let need = (head_end + 4).saturating_add(content_length);
+    let content =
+        raw.get(head_end + 4..need).ok_or(WarcError::Truncated { need, have: raw.len() })?;
     // Strip the embedded HTTP response head.
     let http_end = find(content, b"\r\n\r\n").ok_or(WarcError::MissingHttpTerminator)?;
     Ok(ReadRecord { url, date, body: content[http_end + 4..].to_vec() })
@@ -404,6 +406,18 @@ mod tests {
         assert!(parse_record(b"HTTP/1.1 200 OK\r\n\r\n").is_err());
         assert!(parse_record(b"WARC/1.0\r\nContent-Length: 999\r\n\r\nshort").is_err());
         assert!(parse_record(b"").is_err());
+    }
+
+    /// A `Content-Length` that overflows the end offset is a truncated
+    /// record whose need exceeds what it has.
+    #[test]
+    fn huge_content_length_is_truncated() {
+        let raw =
+            format!("WARC/1.0\r\nContent-Length: {}\r\n\r\nHTTP/1.1 200 OK\r\n\r\nx", usize::MAX);
+        assert_eq!(
+            parse_record(raw.as_bytes()).map(|r| r.body),
+            Err(WarcError::Truncated { need: usize::MAX, have: raw.len() })
+        );
     }
 }
 

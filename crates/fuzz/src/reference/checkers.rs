@@ -34,7 +34,7 @@ fn de2(cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
 
 fn de3_1(cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
     for tag in cx.start_tags() {
-        for attr in &tag.attrs {
+        for attr in cx.parse.dom.attrs(tag.attrs) {
             if tags::is_url_attribute(&attr.name)
                 && attr.raw_value().contains('\n')
                 && attr.raw_value().contains('<')
@@ -51,7 +51,7 @@ fn de3_1(cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
 
 fn de3_2(cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
     for tag in cx.start_tags() {
-        for attr in &tag.attrs {
+        for attr in cx.parse.dom.attrs(tag.attrs) {
             if attr.value.to_ascii_lowercase().contains("<script") {
                 out.push(Finding::new(
                     ViolationKind::DE3_2,
@@ -65,7 +65,7 @@ fn de3_2(cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
 
 fn de3_3(cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
     for tag in cx.start_tags() {
-        for attr in &tag.attrs {
+        for attr in cx.parse.dom.attrs(tag.attrs) {
             if attr.name == "target" && attr.raw_value().contains('\n') {
                 out.push(Finding::new(
                     ViolationKind::DE3_3,
@@ -94,12 +94,8 @@ fn inside_head(cx: &CheckContext<'_>, id: spec_html::dom::NodeId) -> bool {
 fn dm1(cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
     let dom = &cx.parse.dom;
     for id in dom.all_elements() {
-        if dom.is_html(id, "meta")
-            && dom.element(id).is_some_and(|e| e.has_attr("http-equiv"))
-            && !inside_head(cx, id)
-        {
-            let what =
-                dom.element(id).and_then(|e| e.attr("http-equiv")).unwrap_or_default().to_owned();
+        if dom.is_html(id, "meta") && dom.attr(id, "http-equiv").is_some() && !inside_head(cx, id) {
+            let what = dom.attr(id, "http-equiv").unwrap_or_default().to_owned();
             out.push(Finding::new(
                 ViolationKind::DM1,
                 dom.element(id).map(|e| e.src_offset).unwrap_or(0),
@@ -152,7 +148,7 @@ fn dm2_3(cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
         if seen_url_element.is_none()
             && !dom.is_html(id, "html")
             && !dom.is_html(id, "head")
-            && e.attrs.iter().any(|a| tags::is_url_attribute(&a.name))
+            && dom.attrs(e.attrs).iter().any(|a| tags::is_url_attribute(&a.name))
         {
             seen_url_element = Some(e.name.to_string());
         }

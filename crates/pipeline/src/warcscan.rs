@@ -268,6 +268,46 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A record whose `Content-Length` overflows the end offset is
+    /// quarantined as truncated; the scan and its workers go on.
+    #[test]
+    fn huge_content_length_is_a_truncated_record() {
+        use hv_corpus::warc::{self, CdxjLine};
+        use std::io::Write;
+        let archive = Archive::new(CorpusConfig { seed: 606, scale: 0.002 });
+        let dir = std::env::temp_dir().join(format!("hv_warcscan_overflow_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let snap = Snapshot::ALL[7];
+        let (warc_path, cdx_path, _) = warc::export_snapshot(&archive, snap, &dir, 3).unwrap();
+        let url = "https://overflow.example/";
+        let record = format!(
+            "WARC/1.0\r\nWARC-Type: response\r\nWARC-Target-URI: {url}\r\n\
+             Content-Length: {}\r\n\r\nHTTP/1.1 200 OK\r\n\r\n<p>x</p>\r\n\r\n",
+            usize::MAX
+        );
+        let mut file = std::fs::OpenOptions::new().append(true).open(&warc_path).unwrap();
+        let offset = file.metadata().unwrap().len();
+        file.write_all(record.as_bytes()).unwrap();
+        let line = CdxjLine {
+            surt: warc::surt(url),
+            timestamp: warc::snapshot_timestamp(snap),
+            url: url.to_owned(),
+            mime: "text/html".to_owned(),
+            status: 200,
+            offset,
+            length: record.len() as u64,
+        };
+        let mut cdx = std::fs::OpenOptions::new().append(true).open(&cdx_path).unwrap();
+        writeln!(cdx, "{}", line.render()).unwrap();
+
+        let store = scan_warc(&discover(&dir).unwrap()).unwrap();
+        let quarantined: Vec<(&str, ErrorClass)> =
+            store.quarantine.iter().map(|q| (q.url.as_str(), q.class)).collect();
+        assert_eq!(quarantined, [(url, ErrorClass::TruncatedRecord)]);
+        assert!(store.records.iter().any(|r| r.pages_analyzed > 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn discover_ignores_unrelated_files() {
         let dir = std::env::temp_dir().join("hv_warcscan_discover");

@@ -6,25 +6,25 @@
 //! the adoption agency re-parents whole ranges) cheap and safe without
 //! reference counting.
 //!
-//! A node is 72 bytes: four-byte links, a boxed doctype (rare, and large
-//! unboxed), and an element's attributes as one shared, immutable list
-//! ([`Attrs`]). The tokenizer builds that list once per start tag and the
-//! element takes it as is, so neither the element nor the copies formatting
-//! reconstruction re-creates from the tag cost an allocation. Text nodes
-//! take the tokenizer's character runs the same way. When a document drops,
-//! its node vector and text strings go back to its thread's store of spare
-//! parse buffers (`crate::recycle`), for the next parse to reuse.
+//! A node is 64 bytes: four-byte links, a boxed doctype (rare, and large
+//! unboxed), and an element's attributes as an eight-byte range
+//! ([`AttrRange`]) of the document's one attribute arena. The tokenizer
+//! writes each start tag's list into the arena once, and the element, the
+//! copies formatting reconstruction re-creates from the tag and a kept tag
+//! all hold its range, so none of them costs an allocation or a reference
+//! count. Text nodes take the tokenizer's character runs the same way.
+//! When a document drops, its node vector, text strings and attribute
+//! arena go back to its thread's store of spare parse buffers
+//! (`crate::recycle`), for the next parse to reuse.
 
 use crate::atoms::Atom;
 use crate::recycle;
 use crate::tokenizer::Attr;
 use std::fmt;
 use std::num::NonZeroU32;
-use std::ops::Deref;
-use std::sync::Arc;
 
 // Every byte is paid per element, and reconstruction can build Θ(k²) of them.
-const _: () = assert!(size_of::<Node>() <= 72);
+const _: () = assert!(size_of::<Node>() <= 64);
 
 /// Index of a node in a [`Document`] arena. Stored as index + 1, so
 /// `Option<NodeId>` is four bytes.
@@ -72,87 +72,42 @@ impl fmt::Display for Namespace {
     }
 }
 
-/// A start tag's attribute list: immutable, and shared by the tag token,
-/// every element created from it (the list of active formatting elements
-/// keeps it to re-create them) and whoever else keeps the tag. An empty
-/// list allocates nothing. A writer builds a new list for the one element
-/// it changes, so the others keep theirs.
-#[derive(Debug, Clone, Default)]
-pub struct Attrs(Option<Arc<[Attr]>>);
+/// An element's or a start tag's attributes: a range of its document's
+/// attribute arena (see [`Document::attrs`]). The tokenizer writes each
+/// start tag's list into the arena once; the element built from the tag,
+/// every copy formatting reconstruction re-creates and whoever keeps the
+/// tag hold the same eight-byte range. A writer that changes one element's
+/// list writes a new range for it, so the others keep theirs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct AttrRange {
+    start: u32,
+    len: u32,
+}
 
-impl Attrs {
-    /// Whether `a` and `b` are the same shared list (two empty lists are).
-    pub fn ptr_eq(a: &Attrs, b: &Attrs) -> bool {
-        match (&a.0, &b.0) {
-            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
-            (None, None) => true,
-            _ => false,
-        }
+impl AttrRange {
+    /// The `len` attributes from `start`. Panics past `u32::MAX`.
+    pub(crate) fn new(start: usize, len: usize) -> AttrRange {
+        let fit = |n: usize| u32::try_from(n).expect("attribute arena index fits in u32");
+        AttrRange { start: fit(start), len: fit(len) }
     }
 
-    /// Move the attributes out of `scratch` into a new list, leaving
-    /// `scratch` empty with its capacity for the next tag.
-    pub(crate) fn take_from(scratch: &mut Vec<Attr>) -> Attrs {
-        Attrs((!scratch.is_empty()).then(|| scratch.drain(..).collect()))
+    pub fn len(self) -> usize {
+        self.len as usize
     }
 
-    /// Keep the attributes `keep` accepts, in a new list; a list that loses
-    /// nothing stays shared.
-    pub fn retain(&mut self, mut keep: impl FnMut(&Attr) -> bool) {
-        let mut kept = self.to_vec();
-        kept.retain(|a| keep(a));
-        if kept.len() < self.len() {
-            *self = kept.into();
-        }
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    pub(crate) fn span(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
     }
 }
 
-impl Deref for Attrs {
-    type Target = [Attr];
-    fn deref(&self) -> &[Attr] {
-        self.0.as_deref().unwrap_or_default()
-    }
-}
-
-impl<'a> IntoIterator for &'a Attrs {
-    type Item = &'a Attr;
-    type IntoIter = std::slice::Iter<'a, Attr>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-/// Attribute by attribute, as [`Attr`]'s `==` compares them (offsets
-/// included).
-impl PartialEq for Attrs {
-    fn eq(&self, other: &Attrs) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for Attrs {}
-
-impl FromIterator<Attr> for Attrs {
-    fn from_iter<I: IntoIterator<Item = Attr>>(iter: I) -> Attrs {
-        let mut iter = iter.into_iter().peekable();
-        Attrs(iter.peek().is_some().then(|| iter.collect()))
-    }
-}
-
-impl From<Vec<Attr>> for Attrs {
-    fn from(list: Vec<Attr>) -> Attrs {
-        Attrs((!list.is_empty()).then(|| list.into()))
-    }
-}
-
-/// Appends, in a new list; appending nothing keeps the list shared.
-impl Extend<Attr> for Attrs {
-    fn extend<I: IntoIterator<Item = Attr>>(&mut self, iter: I) {
-        let mut more = iter.into_iter().peekable();
-        if more.peek().is_some() {
-            *self = self.iter().cloned().chain(more).collect();
-        }
-    }
+/// The first attribute of `list` named `name`.
+pub(crate) fn find_attr<'a>(list: &'a [Attr], name: &str) -> Option<&'a Attr> {
+    list.iter().find(|a| a.name == name)
 }
 
 /// Element payload.
@@ -162,20 +117,11 @@ pub struct Element {
     /// case (`foreignObject`, `clipPath`, …).
     pub name: Atom,
     pub ns: Namespace,
-    pub attrs: Attrs,
+    /// Read through [`Document::attrs`].
+    pub attrs: AttrRange,
     /// Character offset of the `<` of the start tag that created this
     /// element (0 for implied elements).
     pub src_offset: usize,
-}
-
-impl Element {
-    pub fn attr(&self, name: &str) -> Option<&str> {
-        self.attrs.iter().find(|a| a.name == name).map(|a| a.value.as_str())
-    }
-
-    pub fn has_attr(&self, name: &str) -> bool {
-        self.attrs.iter().any(|a| a.name == name)
-    }
 }
 
 /// A DOCTYPE node's payload.
@@ -212,21 +158,27 @@ pub struct Node {
 #[derive(Debug, Clone)]
 pub struct Document {
     nodes: Vec<Node>,
+    /// Every attribute list of the document, each an [`AttrRange`]. Lists
+    /// are only appended: a list that changes is written again at the end.
+    pub(crate) attrs: Vec<Attr>,
 }
 
-/// Starts from the thread's spare node vector (see [`crate::recycle`]).
+/// Starts from the thread's spare node vector and attribute arena (see
+/// [`crate::recycle`]).
 impl Default for Document {
     fn default() -> Self {
-        let mut doc = Document { nodes: recycle::take_nodes() };
+        let mut doc = Document { nodes: recycle::take_nodes(), attrs: recycle::take_attrs() };
         doc.create(NodeData::Document);
         doc
     }
 }
 
-/// The node vector and the text strings go back to the thread's store.
+/// The node vector, the text strings and the attribute arena go back to
+/// the thread's store.
 impl Drop for Document {
     fn drop(&mut self) {
         recycle::give_nodes(std::mem::take(&mut self.nodes));
+        recycle::give_attrs(std::mem::take(&mut self.attrs));
     }
 }
 
@@ -275,7 +227,7 @@ impl Document {
         &mut self,
         name: impl Into<Atom>,
         ns: Namespace,
-        attrs: impl Into<Attrs>,
+        attrs: AttrRange,
     ) -> NodeId {
         self.create_element_at(name, ns, attrs, 0)
     }
@@ -285,11 +237,62 @@ impl Document {
         &mut self,
         name: impl Into<Atom>,
         ns: Namespace,
-        attrs: impl Into<Attrs>,
+        attrs: AttrRange,
         src_offset: usize,
     ) -> NodeId {
-        let attrs = attrs.into();
         self.create(NodeData::Element(Element { name: name.into(), ns, attrs, src_offset }))
+    }
+
+    // ----- attributes -----
+
+    /// The attributes `range` names: an element's list, or a start tag's
+    /// from this document's parse.
+    pub fn attrs(&self, range: AttrRange) -> &[Attr] {
+        &self.attrs[range.span()]
+    }
+
+    /// The attributes of `id` (none unless it is an element).
+    pub(crate) fn element_attrs(&self, id: NodeId) -> &[Attr] {
+        self.element(id).map_or(&[], |e| self.attrs(e.attrs))
+    }
+
+    /// The value of attribute `name` on `id`.
+    pub fn attr(&self, id: NodeId, name: &str) -> Option<&str> {
+        find_attr(self.element_attrs(id), name).map(|a| a.value.as_str())
+    }
+
+    /// Write `list` as a new range at the end of the arena.
+    pub(crate) fn push_attrs(&mut self, list: impl IntoIterator<Item = Attr>) -> AttrRange {
+        let start = self.attrs.len();
+        self.attrs.extend(list);
+        AttrRange::new(start, self.attrs.len() - start)
+    }
+
+    /// A new range holding a copy of `range`, each attribute passed
+    /// through `edit`.
+    pub(crate) fn copy_attrs(
+        &mut self,
+        range: AttrRange,
+        edit: impl FnMut(&mut Attr),
+    ) -> AttrRange {
+        let start = self.attrs.len();
+        self.attrs.extend_from_within(range.span());
+        self.attrs[start..].iter_mut().for_each(edit);
+        AttrRange::new(start, range.len())
+    }
+
+    /// Keep the attributes of element `id` that `keep` accepts. A list
+    /// that loses one is written as a new range; one that loses none keeps
+    /// its range.
+    pub fn retain_attrs(&mut self, id: NodeId, mut keep: impl FnMut(&Attr) -> bool) {
+        let Some(range) = self.element(id).map(|e| e.attrs) else { return };
+        let kept: Vec<Attr> = self.attrs(range).iter().filter(|a| keep(a)).cloned().collect();
+        if kept.len() < range.len() {
+            let range = self.push_attrs(kept);
+            if let Some(e) = self.element_mut(id) {
+                e.attrs = range;
+            }
+        }
     }
 
     /// Element payload of `id`, if it is an element.
@@ -586,7 +589,7 @@ mod tests {
     use super::*;
 
     fn elem(doc: &mut Document, name: &str) -> NodeId {
-        doc.create_element(name, Namespace::Html, Vec::new())
+        doc.create_element(name, Namespace::Html, AttrRange::default())
     }
 
     #[test]
@@ -700,7 +703,7 @@ mod tests {
     fn find_html_by_name() {
         let mut d = Document::new();
         let root = d.root();
-        let s = d.create_element("svg", Namespace::Svg, Vec::new());
+        let s = d.create_element("svg", Namespace::Svg, AttrRange::default());
         d.append(root, s);
         let p = elem(&mut d, "p");
         d.append(root, p);

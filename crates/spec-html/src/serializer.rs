@@ -110,7 +110,7 @@ fn open_node(doc: &Document, id: NodeId, out: &mut String) -> bool {
         NodeData::Element(e) => {
             out.push('<');
             out.push_str(&e.name);
-            for a in &e.attrs {
+            for a in doc.attrs(e.attrs) {
                 out.push(' ');
                 out.push_str(&a.name);
                 out.push_str("=\"");

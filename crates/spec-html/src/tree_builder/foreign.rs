@@ -65,8 +65,7 @@ impl Builder {
 
     fn annotation_xml_is_integration(&self) -> bool {
         self.current()
-            .and_then(|id| self.doc.element(id))
-            .and_then(|e| e.attr("encoding"))
+            .and_then(|id| self.doc.attr(id, "encoding"))
             .map(|enc| {
                 enc.eq_ignore_ascii_case("text/html")
                     || enc.eq_ignore_ascii_case("application/xhtml+xml")
@@ -110,8 +109,9 @@ impl Builder {
             Token::StartTag(ref tag) => {
                 let breakout = tags::is_foreign_breakout_atom(&tag.name)
                     || (tag.name == "font"
-                        && tag
-                            .attrs
+                        && self
+                            .doc
+                            .attrs(tag.attrs)
                             .iter()
                             .any(|a| matches!(a.name.as_str(), "color" | "face" | "size")));
                 if breakout {

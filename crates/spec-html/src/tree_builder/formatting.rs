@@ -8,7 +8,7 @@
 
 use super::{Builder, Class, TreeEventKind};
 use crate::atoms::{atom, Atom};
-use crate::dom::{Attrs, Namespace, NodeId};
+use crate::dom::{AttrRange, Namespace, NodeId};
 use crate::tokenizer::Attr;
 
 /// An entry in the list of active formatting elements.
@@ -17,9 +17,9 @@ pub enum FormatEntry {
     /// Scope marker (inserted by applet/object/marquee/template/td/th/caption).
     Marker,
     /// A formatting element, with what re-creating it takes: the name,
-    /// source offset and attribute list of the start tag that created it.
-    /// Every re-created copy shares `attrs`.
-    Element { node: NodeId, name: Atom, src_offset: usize, attrs: Attrs },
+    /// source offset and attribute range of the start tag that created it.
+    /// Every re-created copy holds the same `attrs`.
+    Element { node: NodeId, name: Atom, src_offset: usize, attrs: AttrRange },
 }
 
 /// Whether two formatting elements were created with the same attributes:
@@ -44,14 +44,14 @@ impl Builder {
     /// clause (at most three identical entries since the last marker).
     pub(crate) fn push_formatting(&mut self, node: NodeId) {
         let e = self.doc.element(node).expect("formatting entries are elements");
-        let (name, src_offset, attrs) = (e.name.clone(), e.src_offset, e.attrs.clone());
+        let (name, src_offset, attrs) = (e.name.clone(), e.src_offset, e.attrs);
         let mut same = 0usize;
         let mut drop_idx = None;
         for (i, e) in self.formatting.iter().enumerate().rev() {
             match e {
                 FormatEntry::Marker => break,
                 FormatEntry::Element { name: n, attrs: a, .. } => {
-                    if *n == name && same_attrs(a, &attrs) {
+                    if *n == name && same_attrs(self.doc.attrs(*a), self.doc.attrs(attrs)) {
                         same += 1;
                         drop_idx = Some(i);
                     }
@@ -66,15 +66,14 @@ impl Builder {
         self.formatting.push(FormatEntry::Element { node, name, src_offset, attrs });
     }
 
-    /// A new detached element for formatting entry `i`, sharing its
-    /// attribute list, and made the entry's node. Reconstruction passes the
+    /// A new detached element for formatting entry `i`, holding its
+    /// attribute range, and made the entry's node. Reconstruction passes the
     /// entry's `src_offset`; the adoption agency's clones take 0.
     fn recreate(&mut self, i: usize, src_offset: usize) -> NodeId {
         let FormatEntry::Element { name, attrs, .. } = &self.formatting[i] else {
             unreachable!("markers are never re-created")
         };
-        let new =
-            self.doc.create_element_at(name.clone(), Namespace::Html, attrs.clone(), src_offset);
+        let new = self.doc.create_element_at(name.clone(), Namespace::Html, *attrs, src_offset);
         if let FormatEntry::Element { node, .. } = &mut self.formatting[i] {
             *node = new;
         }

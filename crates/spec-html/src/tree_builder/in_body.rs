@@ -4,6 +4,7 @@
 //! pointer (DE4), the `<table>` hand-off (HF4), and the foreign-content
 //! entry points (HF5 / mXSS).
 
+use super::merge::Target;
 use super::{is_html_whitespace, names, Builder, Class, Ctl, InsertionMode, TreeEventKind};
 use crate::atoms::{atom, Atom};
 use crate::dom::Namespace;
@@ -39,16 +40,16 @@ impl Builder {
                 Ctl::Done
             }
             Token::Eof => self.stop_parsing(),
-            Token::StartTag(ref tag) => self.in_body_start(tag, &token, tok),
+            Token::StartTag(tag) => self.in_body_start(tag, tok),
             Token::EndTag(ref tag) => self.in_body_end(tag),
         }
     }
 
     #[allow(clippy::too_many_lines)]
-    fn in_body_start(&mut self, tag: &Tag, token: &Token, tok: &mut Tokenizer<'_>) -> Ctl {
+    fn in_body_start(&mut self, tag: Tag, tok: &mut Tokenizer<'_>) -> Ctl {
         match tag.name.id() {
             names::HTML => {
-                self.merge_html_attrs(tag);
+                self.merge_html_attrs(&tag);
                 Ctl::Done
             }
             names::BASE
@@ -60,25 +61,17 @@ impl Builder {
             | names::SCRIPT
             | names::STYLE
             | names::TEMPLATE
-            | names::TITLE => self.in_head(token.clone(), tok),
+            | names::TITLE => self.in_head(Token::StartTag(tag), tok),
             names::BODY => {
                 // HF3: merge the second body's attributes.
                 let body = self.open.get(1);
                 if let Some(body) = body.filter(|&b| self.doc.is_html(b, "body")) {
                     let mut new_attrs = Vec::new();
                     let mut ignored = Vec::new();
-                    if let Some(e) = self.doc.element_mut(body) {
-                        let mut merged = Vec::new();
-                        for a in &tag.attrs {
-                            if e.has_attr(&a.name) {
-                                ignored.push(a.name.to_string());
-                            } else {
-                                new_attrs.push(a.name.to_string());
-                                merged.push(a.clone());
-                            }
-                        }
-                        e.attrs.extend(merged);
-                    }
+                    self.merge_attrs(Target::Body, body, tag.attrs, |a, added| {
+                        let names = if added { &mut new_attrs } else { &mut ignored };
+                        names.push(a.name.to_string());
+                    });
                     self.event(TreeEventKind::SecondBodyMerged {
                         new_attrs,
                         ignored_attrs: ignored,
@@ -119,8 +112,8 @@ impl Builder {
                 if self.open.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
-                self.insert_html(tag);
-                self.check_self_closing(tag);
+                self.insert_html(&tag);
+                self.check_self_closing(&tag);
                 Ctl::Done
             }
             names::H1 | names::H2 | names::H3 | names::H4 | names::H5 | names::H6 => {
@@ -131,14 +124,14 @@ impl Builder {
                     self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
                     self.open.pop();
                 }
-                self.insert_html(tag);
+                self.insert_html(&tag);
                 Ctl::Done
             }
             names::PRE | names::LISTING => {
                 if self.open.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
-                self.insert_html(tag);
+                self.insert_html(&tag);
                 self.ignore_lf = true;
                 self.frameset_ok = false;
                 Ctl::Done
@@ -152,7 +145,7 @@ impl Builder {
                 if self.open.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
-                let id = self.insert_html(tag);
+                let id = self.insert_html(&tag);
                 if !self.open.has_element(&atom!("template")) {
                     self.form = Some(id);
                 }
@@ -164,7 +157,7 @@ impl Builder {
                 if self.open.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
-                self.insert_html(tag);
+                self.insert_html(&tag);
                 Ctl::Done
             }
             names::DD | names::DT => {
@@ -173,14 +166,14 @@ impl Builder {
                 if self.open.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
-                self.insert_html(tag);
+                self.insert_html(&tag);
                 Ctl::Done
             }
             names::PLAINTEXT => {
                 if self.open.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
-                self.insert_html(tag);
+                self.insert_html(&tag);
                 tok.set_state(tokenizer::State::Plaintext);
                 Ctl::Done
             }
@@ -191,7 +184,7 @@ impl Builder {
                     self.open.pop_through(&atom!("button"));
                 }
                 self.reconstruct_formatting();
-                self.insert_html(tag);
+                self.insert_html(&tag);
                 self.frameset_ok = false;
                 Ctl::Done
             }
@@ -212,7 +205,7 @@ impl Builder {
                     self.open.remove_node(node);
                 }
                 self.reconstruct_formatting();
-                let id = self.insert_html(tag);
+                let id = self.insert_html(&tag);
                 self.push_formatting(id);
                 Ctl::Done
             }
@@ -229,7 +222,7 @@ impl Builder {
             | names::TT
             | names::U => {
                 self.reconstruct_formatting();
-                let id = self.insert_html(tag);
+                let id = self.insert_html(&tag);
                 self.push_formatting(id);
                 Ctl::Done
             }
@@ -240,13 +233,13 @@ impl Builder {
                     self.adoption_agency(&atom!("nobr"));
                     self.reconstruct_formatting();
                 }
-                let id = self.insert_html(tag);
+                let id = self.insert_html(&tag);
                 self.push_formatting(id);
                 Ctl::Done
             }
             names::APPLET | names::MARQUEE | names::OBJECT => {
                 self.reconstruct_formatting();
-                self.insert_html(tag);
+                self.insert_html(&tag);
                 self.formatting.push(super::FormatEntry::Marker);
                 self.frameset_ok = false;
                 Ctl::Done
@@ -257,22 +250,22 @@ impl Builder {
                 {
                     self.close_p_element();
                 }
-                self.insert_html(tag);
+                self.insert_html(&tag);
                 self.frameset_ok = false;
                 self.mode = InsertionMode::InTable;
                 Ctl::Done
             }
             names::AREA | names::BR | names::EMBED | names::IMG | names::KEYGEN | names::WBR => {
                 self.reconstruct_formatting();
-                self.insert_void(tag);
+                self.insert_void(&tag);
                 self.frameset_ok = false;
                 Ctl::Done
             }
             names::INPUT => {
                 self.reconstruct_formatting();
-                self.insert_void(tag);
-                let hidden = tag
-                    .attr_value("type")
+                self.insert_void(&tag);
+                let hidden = self
+                    .tag_attr(&tag, "type")
                     .map(|t| t.eq_ignore_ascii_case("hidden"))
                     .unwrap_or(false);
                 if !hidden {
@@ -281,29 +274,28 @@ impl Builder {
                 Ctl::Done
             }
             names::PARAM | names::SOURCE | names::TRACK => {
-                self.insert_void(tag);
+                self.insert_void(&tag);
                 Ctl::Done
             }
             names::HR => {
                 if self.open.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
-                self.insert_void(tag);
+                self.insert_void(&tag);
                 self.frameset_ok = false;
                 Ctl::Done
             }
             names::IMAGE => {
                 // Spec: "Don't ask." Treat it as img.
                 self.event(TreeEventKind::StrayStartTag { tag: "image".into() });
-                let mut img = tag.clone();
-                img.name = "img".into();
+                let img = Tag { name: "img".into(), ..tag };
                 self.reconstruct_formatting();
                 self.insert_void(&img);
                 self.frameset_ok = false;
                 Ctl::Done
             }
             names::TEXTAREA => {
-                self.insert_html(tag);
+                self.insert_html(&tag);
                 self.ignore_lf = true;
                 tok.set_state(tokenizer::State::Rcdata);
                 tok.set_last_start_tag("textarea");
@@ -318,21 +310,21 @@ impl Builder {
                 }
                 self.reconstruct_formatting();
                 self.frameset_ok = false;
-                self.generic_text_element(tag, tok, true);
+                self.generic_text_element(&tag, tok, true);
                 Ctl::Done
             }
             names::IFRAME => {
                 self.frameset_ok = false;
-                self.generic_text_element(tag, tok, true);
+                self.generic_text_element(&tag, tok, true);
                 Ctl::Done
             }
             names::NOEMBED => {
-                self.generic_text_element(tag, tok, true);
+                self.generic_text_element(&tag, tok, true);
                 Ctl::Done
             }
             names::SELECT => {
                 self.reconstruct_formatting();
-                self.insert_html(tag);
+                self.insert_html(&tag);
                 self.frameset_ok = false;
                 self.mode = match self.mode {
                     InsertionMode::InTable
@@ -349,26 +341,26 @@ impl Builder {
                     self.open.pop();
                 }
                 self.reconstruct_formatting();
-                self.insert_html(tag);
+                self.insert_html(&tag);
                 Ctl::Done
             }
             names::RB | names::RTC => {
                 if self.open.in_scope(&atom!("ruby")) {
                     self.generate_implied_end_tags(None);
                 }
-                self.insert_html(tag);
+                self.insert_html(&tag);
                 Ctl::Done
             }
             names::RP | names::RT => {
                 if self.open.in_scope(&atom!("ruby")) {
                     self.generate_implied_end_tags(Some("rtc"));
                 }
-                self.insert_html(tag);
+                self.insert_html(&tag);
                 Ctl::Done
             }
             names::MATH => {
                 self.reconstruct_formatting();
-                self.insert_element(tag, Namespace::MathMl, false);
+                self.insert_element(&tag, Namespace::MathMl, false);
                 if tag.self_closing {
                     self.open.pop();
                 }
@@ -376,7 +368,7 @@ impl Builder {
             }
             names::SVG => {
                 self.reconstruct_formatting();
-                self.insert_element(tag, Namespace::Svg, false);
+                self.insert_element(&tag, Namespace::Svg, false);
                 if tag.self_closing {
                     self.open.pop();
                 }
@@ -398,8 +390,8 @@ impl Builder {
             }
             _ => {
                 self.reconstruct_formatting();
-                self.insert_html(tag);
-                self.check_self_closing(tag);
+                self.insert_html(&tag);
+                self.check_self_closing(&tag);
                 Ctl::Done
             }
         }

@@ -81,10 +81,10 @@ impl Builder {
                     }
                     Ctl::Done
                 }
-                names::STYLE | names::SCRIPT | names::TEMPLATE => self.in_head(token.clone(), tok),
+                names::STYLE | names::SCRIPT | names::TEMPLATE => self.in_head(token, tok),
                 names::INPUT => {
-                    let hidden = tag
-                        .attr_value("type")
+                    let hidden = self
+                        .tag_attr(tag, "type")
                         .map(|t| t.eq_ignore_ascii_case("hidden"))
                         .unwrap_or(false);
                     if hidden {
@@ -130,7 +130,7 @@ impl Builder {
                     self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                     Ctl::Done
                 }
-                names::TEMPLATE => self.in_head(token.clone(), tok),
+                names::TEMPLATE => self.in_head(token, tok),
                 _ => self.table_anything_else(token, tok),
             },
             Token::Eof => self.in_body(Token::Eof, tok),
@@ -284,8 +284,8 @@ impl Builder {
                 self.event(TreeEventKind::StrayEndTag { tag: "col".into() });
                 Ctl::Done
             }
-            Token::StartTag(ref tag) if tag.name == "template" => self.in_head(token.clone(), tok),
-            Token::EndTag(ref tag) if tag.name == "template" => self.in_head(token.clone(), tok),
+            Token::StartTag(ref tag) if tag.name == "template" => self.in_head(token, tok),
+            Token::EndTag(ref tag) if tag.name == "template" => self.in_head(token, tok),
             Token::Eof => self.in_body(Token::Eof, tok),
             other => self.column_group_anything_else(other),
         }
@@ -595,7 +595,7 @@ impl Builder {
                     }
                     Ctl::Done
                 }
-                names::SCRIPT | names::TEMPLATE => self.in_head(token.clone(), tok),
+                names::SCRIPT | names::TEMPLATE => self.in_head(token, tok),
                 _ => {
                     self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
                     Ctl::Done
@@ -634,7 +634,7 @@ impl Builder {
                     self.reset_insertion_mode();
                     Ctl::Done
                 }
-                names::TEMPLATE => self.in_head(token.clone(), tok),
+                names::TEMPLATE => self.in_head(token, tok),
                 _ => {
                     self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                     Ctl::Done

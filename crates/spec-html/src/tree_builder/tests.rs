@@ -100,7 +100,7 @@ fn active_formatting_reconstructed_across_blocks() {
 }
 
 #[test]
-fn recreated_formatting_elements_share_their_attribute_list() {
+fn recreated_formatting_elements_hold_their_attribute_range() {
     // Each <p> closes the one before it and the <b> inside, so every later
     // paragraph reconstructs the <b>. The end tag makes the adoption agency
     // clone <i> (inner loop) and <b> (outer loop) around the <div>.
@@ -109,15 +109,15 @@ fn recreated_formatting_elements_share_their_attribute_list() {
         [("<p><b class=x>1<p>2<p>3", "b", 3), (misnested, "b", 2), (misnested, "i", 2)]
     {
         let out = parse_doc(input);
-        let copies: Vec<&Attrs> = out
+        let copies: Vec<AttrRange> = out
             .dom
             .all_elements()
             .filter(|&id| out.dom.is_html(id, name))
-            .map(|id| &out.dom.element(id).unwrap().attrs)
+            .map(|id| out.dom.element(id).unwrap().attrs)
             .collect();
         assert_eq!(copies.len(), count, "{name} in {input}");
         for copy in &copies {
-            assert!(!copy.is_empty() && Attrs::ptr_eq(copy, copies[0]), "{name} in {input}");
+            assert!(!copy.is_empty() && *copy == copies[0], "{name} in {input}");
         }
     }
     assert_eq!(
@@ -125,15 +125,17 @@ fn recreated_formatting_elements_share_their_attribute_list() {
         r#"<b class="x"><i class="y">1</i></b><i class="y"><div><b class="x">2</b></div></i>"#
     );
 
-    // Writers give the one element they change a list of its own.
+    // Writers give the one element they change a range of its own.
     let mut out = parse_doc("<p><b class=x>1<p>2<p>3");
     let bs: Vec<NodeId> = out.dom.all_elements().filter(|&id| out.dom.is_html(id, "b")).collect();
     assert_eq!(bs.len(), 3);
     let id = crate::tokenizer::Attr::new("id", "z");
-    out.dom.element_mut(bs[1]).unwrap().attrs.extend([id]);
-    out.dom.element_mut(bs[2]).unwrap().attrs.retain(|a| a.name != "class");
-    let (first, second) = (out.dom.element(bs[0]).unwrap(), out.dom.element(bs[1]).unwrap());
-    assert!(!Attrs::ptr_eq(&first.attrs, &second.attrs));
+    let grown: Vec<_> = out.dom.element_attrs(bs[1]).iter().cloned().chain([id]).collect();
+    let grown = out.dom.push_attrs(grown);
+    out.dom.element_mut(bs[1]).unwrap().attrs = grown;
+    out.dom.retain_attrs(bs[2], |a| a.name != "class");
+    let ranges: Vec<AttrRange> = bs.iter().map(|&b| out.dom.element(b).unwrap().attrs).collect();
+    assert!(ranges[0] != ranges[1] && ranges[0] != ranges[2] && ranges[1] != ranges[2]);
     let body = out.dom.find_html("body").unwrap();
     assert_eq!(
         crate::serializer::serialize_children(&out.dom, body),
@@ -142,11 +144,11 @@ fn recreated_formatting_elements_share_their_attribute_list() {
 }
 
 #[test]
-fn elements_share_their_start_tag_attribute_list() {
-    // An element takes its tag's list as is, unless a foreign attribute
-    // adjustment renames one of its attributes.
+fn elements_hold_their_start_tag_attribute_range() {
+    // An element, and a kept tag, hold the tag's range as is, unless a
+    // foreign attribute adjustment renames one of the element's attributes.
     let input = "<div id=a><svg class=b><rect viewbox=c /></svg>";
-    let mut tags = Vec::new();
+    let mut tags = KeptTags::new();
     let out = parse_with_sink(input, &mut |tag| tags.push(tag.clone()));
     assert_eq!(tags.len(), 3);
     for (tag, shared) in tags.iter().zip([true, true, false]) {
@@ -155,10 +157,12 @@ fn elements_share_their_start_tag_attribute_list() {
             .all_elements()
             .find_map(|id| out.dom.element(id).filter(|e| e.name == tag.name));
         let element = element.unwrap();
-        assert_eq!(Attrs::ptr_eq(&tag.attrs, &element.attrs), shared, "<{}>", tag.name);
+        assert_eq!(tag.attrs == element.attrs, shared, "<{}>", tag.name);
+        assert_eq!(out.dom.attrs(tag.attrs).len(), 1, "<{}>", tag.name);
     }
     let rect = out.dom.all_elements().last().unwrap();
-    assert_eq!(out.dom.element(rect).unwrap().attr("viewBox"), Some("c"));
+    assert_eq!(out.dom.attr(rect, "viewBox"), Some("c"));
+    assert_eq!(out.dom.attrs(tags[2].attrs)[0].name, "viewbox");
 }
 
 // ----- head / body events (HF1, HF2, HF3) -----
@@ -198,7 +202,7 @@ fn hf2_content_before_body() {
     assert!(has_event(&out, |k| matches!(k, TreeEventKind::ImplicitBody { .. })));
     let body = out.dom.find_html("body").unwrap();
     // The onload security check is gone.
-    assert!(out.dom.element(body).unwrap().attr("onload").is_none());
+    assert!(out.dom.attr(body, "onload").is_none());
 }
 
 #[test]
@@ -207,10 +211,9 @@ fn hf3_second_body_merges_attributes() {
         "<!DOCTYPE html><body class=a onload=first()><p>x</p><body onload=second() id=late>",
     );
     let body = out.dom.find_html("body").unwrap();
-    let e = out.dom.element(body).unwrap();
     // Existing attribute wins; new one is added.
-    assert_eq!(e.attr("onload"), Some("first()"));
-    assert_eq!(e.attr("id"), Some("late"));
+    assert_eq!(out.dom.attr(body, "onload"), Some("first()"));
+    assert_eq!(out.dom.attr(body, "id"), Some("late"));
     assert!(has_event(&out, |k| matches!(
         k,
         TreeEventKind::SecondBodyMerged { new_attrs, ignored_attrs }
@@ -338,7 +341,7 @@ fn de4_nested_form_ignored() {
     // Only one form element exists, and it is the evil one.
     let forms: Vec<_> = out.dom.all_elements().filter(|&id| out.dom.is_html(id, "form")).collect();
     assert_eq!(forms.len(), 1);
-    assert_eq!(out.dom.element(forms[0]).unwrap().attr("action"), Some("https://evil.com"));
+    assert_eq!(out.dom.attr(forms[0], "action"), Some("https://evil.com"));
 }
 
 #[test]
@@ -356,7 +359,7 @@ fn de1_unterminated_textarea_swallows_rest() {
     let out = parse_doc(
         "<body><form action=https://evil.com><input type=submit><textarea>\n<p>My little secret</p>",
     );
-    assert!(out.open_at_eof.contains(&"textarea".to_string()));
+    assert!(out.open_at_eof.contains(&atom!("textarea")));
     assert!(has_event(&out, |k| matches!(
         k,
         TreeEventKind::EofInTextContent { tag } if tag == "textarea"
@@ -369,7 +372,7 @@ fn de1_unterminated_textarea_swallows_rest() {
 #[test]
 fn de2_unterminated_select_swallows_content() {
     let out = parse_doc("<body><select><option>a<p id=private>secret</p>");
-    assert!(out.open_at_eof.contains(&"select".to_string()));
+    assert!(out.open_at_eof.contains(&atom!("select")));
     // Tags inside select are dropped but their text kept.
     let sel = out.dom.find_html("select").unwrap();
     assert!(out.dom.text_content(sel).contains("secret"));
@@ -379,7 +382,7 @@ fn de2_unterminated_select_swallows_content() {
 #[test]
 fn closed_textarea_is_clean() {
     let out = parse_doc("<body><textarea>x</textarea><p>after</p></body>");
-    assert!(!out.open_at_eof.contains(&"textarea".to_string()));
+    assert!(!out.open_at_eof.contains(&atom!("textarea")));
     assert!(!has_event(&out, |k| matches!(k, TreeEventKind::EofInTextContent { .. })));
 }
 

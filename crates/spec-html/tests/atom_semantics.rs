@@ -143,7 +143,7 @@ proptest! {
             // (head/body/html get synthesized without our attribute, and
             // some elements get foster-parented oddly; only check when
             // the attribute survived).
-            if let Some(a) = e.attrs.iter().find(|a| a.name == lower_atom) {
+            if let Some(a) = out.dom.attrs(e.attrs).iter().find(|a| a.name == lower_atom) {
                 prop_assert_eq!(a.name.static_id().is_some(), lower_atom.static_id().is_some());
                 prop_assert_eq!(a.value.as_str(), "v");
             }

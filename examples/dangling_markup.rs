@@ -52,12 +52,11 @@ fn nonce_stealing() {
     // the attack — the victim's nonce now sits as an attribute ON THE
     // ATTACKER'S element.
     let script = doc.dom.find_html("script").expect("script");
-    let e = doc.dom.element(script).unwrap();
-    println!("surviving script src:   {:?}", e.attr("src"));
-    println!("stolen nonce attribute: {:?}", e.attr("nonce"));
-    let inj = e.attr("inj").unwrap_or("");
+    println!("surviving script src:   {:?}", doc.dom.attr(script, "src"));
+    println!("stolen nonce attribute: {:?}", doc.dom.attr(script, "nonce"));
+    let inj = doc.dom.attr(script, "inj").unwrap_or("");
     println!("swallowed into inj attribute:\n---\n{}\n---", inj.trim());
-    assert_eq!(e.attr("nonce"), Some("the-rnd-nonce"), "the CSP nonce must transfer");
+    assert_eq!(doc.dom.attr(script, "nonce"), Some("the-rnd-nonce"), "the CSP nonce must transfer");
     assert!(inj.to_lowercase().contains("<script"), "inj absorbed the victim's open tag");
 
     let report = Battery::full().run_str(page);
@@ -79,7 +78,7 @@ fn window_name_exfiltration() {
         <p>rest of page</p>";
     let doc = parse_document(page);
     let base = doc.dom.find_html("base").expect("base");
-    let target = doc.dom.element(base).unwrap().attr("target").unwrap_or("");
+    let target = doc.dom.attr(base, "target").unwrap_or("");
     println!("window name for the next click:\n---\n{}\n---", target.trim());
     assert!(target.contains("secret"));
 

@@ -53,8 +53,9 @@ fn main() {
     for id in second.dom.all_elements() {
         let e = second.dom.element(id).unwrap();
         if e.name == "img" {
-            if let Some(onerror) = e.attr("onerror") {
-                live_imgs.push((e.attr("src").unwrap_or("?").to_owned(), onerror.to_owned()));
+            if let Some(onerror) = second.dom.attr(id, "onerror") {
+                let src = second.dom.attr(id, "src").unwrap_or("?");
+                live_imgs.push((src.to_owned(), onerror.to_owned()));
             }
         }
     }

@@ -135,7 +135,7 @@ fn render_node(dom: &spec_html::Dom, id: NodeId, depth: usize, out: &mut String)
             };
             out.push_str(&format!("| {indent}<{name}>\n"));
             // Attributes sorted by name, one per line (suite convention).
-            let mut attrs = e.attrs.to_vec();
+            let mut attrs = dom.attrs(e.attrs).to_vec();
             attrs.sort_by(|a, b| a.name.cmp(&b.name));
             for a in attrs {
                 out.push_str(&format!("| {indent}  {}=\"{}\"\n", a.name, a.value));

@@ -39,6 +39,9 @@ enum Shape {
     /// `first` repeated over half the page, then `then` over the rest: a
     /// deep stack, then tokens that each ask the stack a question.
     DeepThen { first: &'static str, then: &'static str },
+    /// Units of `prefix`, the unit's number, then `suffix`, until the page
+    /// reaches the size: each unit names something no unit before it did.
+    Numbered { prefix: &'static str, suffix: &'static str },
 }
 
 struct Family {
@@ -53,6 +56,10 @@ const fn repeat(name: &'static str, lead: &'static str, unit: &'static str) -> F
 
 const fn deep(name: &'static str, first: &'static str, then: &'static str) -> Family {
     Family { name, shape: Shape::DeepThen { first, then }, tail: "" }
+}
+
+const fn numbered(name: &'static str, prefix: &'static str, suffix: &'static str) -> Family {
+    Family { name, shape: Shape::Numbered { prefix, suffix }, tail: "" }
 }
 
 const FAMILIES: &[Family] = &[
@@ -72,6 +79,9 @@ const FAMILIES: &[Family] = &[
     deep("<div>s then <meta http-equiv=x>", "<div>", "<meta http-equiv=x>"),
     deep("<span>s then </x>", "<span>", "</x>"),
     deep("<span>s then </em>", "<span>", "</em>"),
+    // Each tag merges one new attribute into the html or body element.
+    numbered("<html aN=1> merges", "<html a", "=1>"),
+    numbered("<body aN=1> merges", "<body a", "=1>"),
     // Guards: linear before the stack index, and must stay so.
     repeat("foster-parented tables", "", "<table><div>"),
     Family {
@@ -98,6 +108,14 @@ impl Family {
                 }
                 while s.len() < bytes {
                     s.push_str(then);
+                }
+            }
+            Shape::Numbered { prefix, suffix } => {
+                for i in 0.. {
+                    if s.len() >= bytes {
+                        break;
+                    }
+                    s.push_str(&format!("{prefix}{i}{suffix}"));
                 }
             }
         }

@@ -54,7 +54,7 @@ fn figure4_content_before_body() {
     // The absorbed body means its onload never exists in the DOM.
     let doc = parse_document(page);
     let body = doc.dom.find_html("body").unwrap();
-    assert!(doc.dom.element(body).unwrap().attr("onload").is_none());
+    assert!(doc.dom.attr(body, "onload").is_none());
 }
 
 #[test]
@@ -151,7 +151,7 @@ fn section_3_2_dm3_example() {
     let doc = parse_document(page);
     let div = doc.dom.find_html("div").unwrap();
     // "the following element only recognizes the evil onclick handler"
-    assert_eq!(doc.dom.element(div).unwrap().attr("onclick"), Some("evil()"));
+    assert_eq!(doc.dom.attr(div, "onclick"), Some("evil()"));
     assert!(kinds(page).contains(&"DM3"));
 }
 
@@ -179,12 +179,9 @@ fn de4_injected_form_controls_submission() {
     let doc = parse_document(page);
     let forms: Vec<_> = doc.dom.all_elements().filter(|&id| doc.dom.is_html(id, "form")).collect();
     assert_eq!(forms.len(), 1, "the nested form start tag is dropped");
-    assert_eq!(doc.dom.element(forms[0]).unwrap().attr("action"), Some("https://evil.com"));
+    assert_eq!(doc.dom.attr(forms[0], "action"), Some("https://evil.com"));
     // The password field now submits to evil.com.
-    let pass = doc
-        .dom
-        .all_elements()
-        .find(|&id| doc.dom.element(id).unwrap().attr("type") == Some("password"))
-        .unwrap();
+    let pass =
+        doc.dom.all_elements().find(|&id| doc.dom.attr(id, "type") == Some("password")).unwrap();
     assert!(doc.dom.is_inclusive_ancestor(forms[0], pass));
 }

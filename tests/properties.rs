@@ -291,7 +291,7 @@ mod dom_arena_ops {
             for op in ops {
                 match op {
                     Op::Create => {
-                        ids.push(doc.create_element("div", Namespace::Html, Vec::new()));
+                        ids.push(doc.create_element("div", Namespace::Html, Default::default()));
                     }
                     Op::Append { parent, child } => {
                         let p = ids[parent % ids.len()];
