@@ -332,13 +332,13 @@ fn gen(
             let dir = out.join(snap.crawl_id()).join(&d.name);
             fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
             for entry in cdx.pages.iter().take(5) {
-                let body = archive.fetch(entry);
+                let body = archive.fetch_page(&cdx.snapshot, entry.page_index);
                 let name = if entry.page_index == 0 {
                     "index.html".to_owned()
                 } else {
                     format!("page{}.html", entry.page_index)
                 };
-                fs::write(dir.join(&name), &body.body).map_err(|e| format!("writing page: {e}"))?;
+                fs::write(dir.join(&name), &body).map_err(|e| format!("writing page: {e}"))?;
                 written += 1;
             }
         }

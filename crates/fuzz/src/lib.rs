@@ -21,8 +21,8 @@
 //!   generator pieces and then over bytes, shrinking any failure to a
 //!   locally minimal reproducer.
 //! - [`reference`] — the implementations the rewrites replaced, kept
-//!   verbatim as the oracles' references: the pre-fusion checker battery
-//!   and the pre-index aggregation queries.
+//!   verbatim as the oracles' references: the pre-fusion checker battery,
+//!   the pre-index aggregation queries and the owning WARC-layer parsers.
 //! - [`runner`] — the single-threaded driver tying them together, with
 //!   time budgets, an oracle filter, and persistence of minimized
 //!   reproducers into `tests/fixtures/regressions/`, which the test

@@ -8,13 +8,21 @@
 //! failure model, metrics, streaming and resume, and produces the same
 //! [`ResultStore`] the virtual pipeline fills — so every table/figure
 //! renderer works on real data unchanged.
+//!
+//! The WARC layer copies nothing it does not keep. Opening walks each
+//! snapshot's CDXJ indexes with the borrowed line parser
+//! ([`cdxj_lines`]) and allocates one URL per page and one name per host.
+//! A fetch reads the record with [`read_body`], which returns the body in
+//! the buffer the record was read into. A crawl may ship one snapshot in
+//! many files; they are read in path order, so a host split across them
+//! numbers its pages the same on every file system.
 
 use crate::format::StoreHeader;
 use crate::outcome::{ErrorClass, QuarantineEntry};
 use crate::run::{scan_snapshots, Listing, PageSource, ScanOptions, Slot};
 use crate::store::ResultStore;
 use hv_core::HvError;
-use hv_corpus::warc::{load_cdxj_lenient, read_record};
+use hv_corpus::warc::{cdxj_lines, read_body};
 use hv_corpus::Snapshot;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
@@ -30,8 +38,8 @@ pub struct WarcInput {
 }
 
 /// Discover `<CC-MAIN-*>.warc` / `.cdxj` pairs in a directory (the layout
-/// `hva gen --warc` produces). Snapshot association comes from the
-/// crawl-id file stem.
+/// `hva gen --warc` produces), ordered by snapshot, then path. Snapshot
+/// association comes from the crawl-id file stem.
 pub fn discover(dir: &Path) -> Result<Vec<WarcInput>, HvError> {
     let mut inputs = Vec::new();
     let listing = std::fs::read_dir(dir)
@@ -49,7 +57,7 @@ pub fn discover(dir: &Path) -> Result<Vec<WarcInput>, HvError> {
             inputs.push(WarcInput { warc: path, cdx, snapshot });
         }
     }
-    inputs.sort_by_key(|i| i.snapshot);
+    inputs.sort_by(|a, b| (a.snapshot, &a.warc).cmp(&(b.snapshot, &b.warc)));
     Ok(inputs)
 }
 
@@ -68,7 +76,7 @@ const HEADER_ALLOWANCE: u64 = 64 * 1024;
 #[derive(Debug, Clone, Copy)]
 pub struct RecordSpan(usize, u64, u64);
 
-/// WARC+CDXJ files as a [`PageSource`]. Opening loads every CDXJ index
+/// WARC+CDXJ files as a [`PageSource`]. Opening parses every CDXJ index
 /// once, keeping only each page's URL, offset and length, grouped by
 /// snapshot and by URL host; domain ids are stable hashes of the host.
 /// Bodies are read on demand with positional reads, so concurrent workers
@@ -85,47 +93,26 @@ pub struct WarcSource {
 }
 
 impl WarcSource {
-    /// Load each input's CDXJ index and open its WARC file.
+    /// Open each input's WARC file, then load the CDXJ indexes one
+    /// snapshot at a time.
     pub fn open(inputs: &[WarcInput]) -> Result<WarcSource, HvError> {
-        let mut files = Vec::with_capacity(inputs.len());
-        let mut listings: BTreeMap<Snapshot, Listing<Vec<RecordSpan>>> = BTreeMap::new();
-        let mut slots: BTreeMap<(Snapshot, String), Slot<Vec<RecordSpan>>> = BTreeMap::new();
-        for input in inputs {
-            let (index, malformed) = load_cdxj_lenient(&input.cdx).map_err(|e| {
-                HvError::io(format!("reading CDXJ index {}", input.cdx.display()), e)
-            })?;
-            let file = File::open(&input.warc)
-                .map_err(|e| HvError::io(format!("opening WARC {}", input.warc.display()), e))?;
-            // Index lines the CDXJ parser refused: quarantined under a
-            // synthetic per-file pseudo-domain (there is no trustworthy URL
-            // to group by), keyed by line number for the audit trail.
-            let refused = malformed.into_iter().map(|(line_no, _raw)| QuarantineEntry {
-                domain_id: 0,
-                snapshot: input.snapshot,
-                page_index: line_no,
-                url: format!("cdxj:{}#L{line_no}", input.cdx.display()),
-                class: ErrorClass::MalformedCdx,
-            });
-            listings.entry(input.snapshot).or_default().quarantine.extend(refused);
-            for line in index {
-                let slot = slots.entry((input.snapshot, host_of(&line.url))).or_insert_with_key(
-                    |(_, host)| Slot {
-                        domain_id: hv_corpus::rng::str_key(host),
-                        domain_name: host.clone(),
-                        rank: 0,
-                        urls: Vec::new(),
-                        locator: Vec::new(),
-                    },
-                );
-                slot.urls.push(line.url);
-                slot.locator.push(RecordSpan(files.len(), line.offset, line.length));
-            }
-            files.push(file);
+        let files = inputs
+            .iter()
+            .map(|input| {
+                File::open(&input.warc)
+                    .map_err(|e| HvError::io(format!("opening WARC {}", input.warc.display()), e))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut listings = BTreeMap::new();
+        for snap in inputs.iter().map(|input| input.snapshot).collect::<BTreeSet<_>>() {
+            listings.insert(snap, list_snapshot(inputs, snap)?);
         }
-        let universe = slots.keys().map(|(_, host)| host).collect::<BTreeSet<_>>().len();
-        for ((snap, _), slot) in slots {
-            listings.entry(snap).or_default().slots.push(slot);
-        }
+        let universe = listings
+            .values()
+            .flat_map(|listing| &listing.slots)
+            .map(|slot| slot.domain_name.as_str())
+            .collect::<BTreeSet<_>>()
+            .len();
         Ok(WarcSource { files, listings, universe })
     }
 
@@ -133,6 +120,60 @@ impl WarcSource {
     pub fn snapshots(&self) -> Vec<Snapshot> {
         self.listings.keys().copied().collect()
     }
+}
+
+/// One snapshot's listing from the CDXJ indexes of its inputs. A
+/// snapshot may span several inputs: each host's pages follow the inputs'
+/// order, then each index's line order. Hosts are grouped through a map
+/// that borrows from the index text, so a page costs one URL string and a
+/// host one name.
+fn list_snapshot(
+    inputs: &[WarcInput],
+    snap: Snapshot,
+) -> Result<Listing<Vec<RecordSpan>>, HvError> {
+    let members: Vec<usize> = (0..inputs.len()).filter(|&i| inputs[i].snapshot == snap).collect();
+    let texts = members
+        .iter()
+        .map(|&i| {
+            let cdx = &inputs[i].cdx;
+            std::fs::read_to_string(cdx)
+                .map_err(|e| HvError::io(format!("reading CDXJ index {}", cdx.display()), e))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut listing = Listing::default();
+    let mut by_host: BTreeMap<&str, usize> = BTreeMap::new();
+    for (&file, text) in members.iter().zip(&texts) {
+        for (line_no, _, fields) in cdxj_lines(text) {
+            // Index lines the CDXJ parser refused: quarantined under a
+            // synthetic per-file pseudo-domain (there is no trustworthy URL
+            // to group by), keyed by line number for the audit trail.
+            let Some(line) = fields else {
+                listing.quarantine.push(QuarantineEntry {
+                    domain_id: 0,
+                    snapshot: snap,
+                    page_index: line_no,
+                    url: format!("cdxj:{}#L{line_no}", inputs[file].cdx.display()),
+                    class: ErrorClass::MalformedCdx,
+                });
+                continue;
+            };
+            let host = host_of(line.url);
+            let at = *by_host.entry(host).or_insert_with(|| {
+                listing.slots.push(Slot {
+                    domain_id: hv_corpus::rng::str_key(host),
+                    domain_name: host.to_owned(),
+                    rank: 0,
+                    urls: Vec::new(),
+                    locator: Vec::new(),
+                });
+                listing.slots.len() - 1
+            });
+            let slot = &mut listing.slots[at];
+            slot.urls.push(line.url.to_owned());
+            slot.locator.push(RecordSpan(file, line.offset, line.length));
+        }
+    }
+    Ok(listing)
 }
 
 impl PageSource for WarcSource {
@@ -160,8 +201,7 @@ impl PageSource for WarcSource {
         if length > (budget as u64).saturating_add(HEADER_ALLOWANCE) {
             return Err(ErrorClass::OversizedBody);
         }
-        read_record(&mut ReadAt(&self.files[file], 0), offset, length)
-            .map(|record| record.body)
+        read_body(&mut ReadAt(&self.files[file], 0), offset, length)
             .map_err(|_| ErrorClass::TruncatedRecord)
     }
 }
@@ -182,7 +222,7 @@ impl Read for ReadAt<'_> {
 }
 
 impl Seek for ReadAt<'_> {
-    /// Absolute seeks only — all `read_record` makes.
+    /// Absolute seeks only — all `read_body` makes.
     fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
         match to {
             SeekFrom::Start(pos) => {
@@ -201,10 +241,10 @@ pub fn scan_warc(inputs: &[WarcInput]) -> Result<ResultStore, HvError> {
     Ok(scan_snapshots(&source, &source.snapshots(), ScanOptions::new()))
 }
 
-fn host_of(url: &str) -> String {
+fn host_of(url: &str) -> &str {
     let stripped =
         url.strip_prefix("https://").or_else(|| url.strip_prefix("http://")).unwrap_or(url);
-    stripped.split('/').next().unwrap_or(stripped).to_owned()
+    stripped.split('/').next().unwrap_or(stripped)
 }
 
 #[cfg(test)]

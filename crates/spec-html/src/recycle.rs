@@ -52,6 +52,7 @@ pub(crate) struct Scratch {
     pub raw_value: String,
     pub attrs: Vec<Attr>,
     pub last_start_tag: String,
+    pub doctype_name: String,
 }
 
 /// The tables of the stack of open elements.
@@ -249,7 +250,15 @@ pub(crate) fn take_scratch() -> Scratch {
 /// Take back the tokenizer's scratch buffers.
 pub(crate) fn give_scratch(scratch: Scratch) {
     with(|s| {
-        let Scratch { tag_name, attr_name, attr_value, raw_value, attrs, last_start_tag } = scratch;
+        let Scratch {
+            tag_name,
+            attr_name,
+            attr_value,
+            raw_value,
+            attrs,
+            last_start_tag,
+            doctype_name,
+        } = scratch;
         s.scratch = Some(Scratch {
             tag_name: emptied_string(tag_name),
             attr_name: emptied_string(attr_name),
@@ -257,6 +266,7 @@ pub(crate) fn give_scratch(scratch: Scratch) {
             raw_value: emptied_string(raw_value),
             attrs: emptied(attrs),
             last_start_tag: emptied_string(last_start_tag),
+            doctype_name: emptied_string(doctype_name),
         });
     });
 }
@@ -297,6 +307,7 @@ pub(crate) fn held() -> (usize, usize, Vec<usize>, usize) {
                 sc.raw_value.capacity(),
                 bytes(&sc.attrs),
                 sc.last_start_tag.capacity(),
+                sc.doctype_name.capacity(),
             ] {
                 largest = largest.max(cap);
             }
@@ -367,7 +378,9 @@ mod tests {
     fn store_hands_out_empty_buffers() {
         on_new_thread(|| {
             drop(crate::parse_document("<p title=secret title=x>secret<table><tr><td>x &amp; y"));
-            let mut tok = crate::tokenizer::Tokenizer::new("<p>secret<b title=\"sec&amp;ret");
+            let mut tok = crate::tokenizer::Tokenizer::new(
+                "<!DOCTYPE secret><p>secret<b title=\"sec&amp;ret",
+            );
             let mut attrs = Vec::new();
             while !matches!(tok.next_token(&mut attrs), crate::tokenizer::Token::Eof) {}
             drop(tok);
@@ -388,6 +401,7 @@ mod tests {
                 ("attribute value", &sc.attr_value),
                 ("raw value", &sc.raw_value),
                 ("last start tag", &sc.last_start_tag),
+                ("doctype name", &sc.doctype_name),
             ] {
                 assert!(buf.is_empty() && buf.capacity() > 0, "{name}: {buf:?}");
             }

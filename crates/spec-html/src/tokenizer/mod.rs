@@ -184,7 +184,10 @@ pub struct Tokenizer<'a> {
     last_tag_atom: Atom,
 
     comment: String,
+    /// The DOCTYPE token under construction. Its name, when it has one, is
+    /// lexed into `doctype_name` and copied in once, at emission.
     doctype: Option<Doctype>,
+    doctype_name: String,
     last_start_tag: String,
     temp_buffer: String,
     char_ref_code: u32,
@@ -212,8 +215,15 @@ impl<'a> Tokenizer<'a> {
     }
 
     fn with_mode(input: &'a str, batched: bool) -> Self {
-        let Scratch { tag_name, attr_name, attr_value, raw_value, attrs, last_start_tag } =
-            recycle::take_scratch();
+        let Scratch {
+            tag_name,
+            attr_name,
+            attr_value,
+            raw_value,
+            attrs,
+            last_start_tag,
+            doctype_name,
+        } = recycle::take_scratch();
         let mut spare_texts = recycle::take_texts();
         Tokenizer {
             stream: InputStream::new(input),
@@ -241,6 +251,7 @@ impl<'a> Tokenizer<'a> {
             last_tag_atom: Atom::default(),
             comment: String::new(),
             doctype: None,
+            doctype_name,
             last_start_tag,
             temp_buffer: String::new(),
             char_ref_code: 0,
@@ -403,8 +414,19 @@ impl<'a> Tokenizer<'a> {
     }
 
     fn emit_doctype(&mut self) {
-        let d = self.doctype.take().unwrap_or_default();
+        let mut d = self.doctype.take().unwrap_or_default();
+        if let Some(name) = &mut d.name {
+            *name = self.doctype_name.clone();
+        }
         self.emit(Token::Doctype(d));
+    }
+
+    /// Start a DOCTYPE token whose name begins with `c`.
+    fn start_doctype_name(&mut self, c: char) {
+        self.doctype_name.clear();
+        self.doctype_name.push(c);
+        self.doctype = Some(Doctype { name: Some(String::new()), ..Doctype::default() });
+        self.state = State::DoctypeName;
     }
 
     // ----- tag construction -----
@@ -1663,17 +1685,9 @@ impl<'a> Tokenizer<'a> {
                 }
                 Some('\0') => {
                     self.error(ErrorCode::UnexpectedNullCharacter);
-                    self.doctype =
-                        Some(Doctype { name: Some("\u{FFFD}".into()), ..Doctype::default() });
-                    self.state = State::DoctypeName;
+                    self.start_doctype_name('\u{FFFD}');
                 }
-                Some(c) => {
-                    self.doctype = Some(Doctype {
-                        name: Some(c.to_ascii_lowercase().to_string()),
-                        ..Doctype::default()
-                    });
-                    self.state = State::DoctypeName;
-                }
+                Some(c) => self.start_doctype_name(c.to_ascii_lowercase()),
                 None => {
                     self.error(ErrorCode::EofInDoctype);
                     self.doctype = Some(Doctype { force_quirks: true, ..Doctype::default() });
@@ -1691,15 +1705,9 @@ impl<'a> Tokenizer<'a> {
                 }
                 Some('\0') => {
                     self.error(ErrorCode::UnexpectedNullCharacter);
-                    if let Some(d) = self.doctype.as_mut() {
-                        d.name.get_or_insert_with(String::new).push('\u{FFFD}');
-                    }
+                    self.doctype_name.push('\u{FFFD}');
                 }
-                Some(c) => {
-                    if let Some(d) = self.doctype.as_mut() {
-                        d.name.get_or_insert_with(String::new).push(c.to_ascii_lowercase());
-                    }
-                }
+                Some(c) => self.doctype_name.push(c.to_ascii_lowercase()),
                 None => {
                     self.error(ErrorCode::EofInDoctype);
                     if let Some(d) = self.doctype.as_mut() {
@@ -2286,6 +2294,7 @@ impl Drop for Tokenizer<'_> {
             raw_value: std::mem::take(&mut a.raw_value),
             attrs: std::mem::take(&mut self.tag_attrs),
             last_start_tag: std::mem::take(&mut self.last_start_tag),
+            doctype_name: std::mem::take(&mut self.doctype_name),
         });
     }
 }

@@ -165,6 +165,79 @@ fn damaged_warc_scan_is_pinned() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Common Crawl ships one crawl in many WARC files. One snapshot exported
+/// as two WARC/CDXJ pairs, split inside one host's pages, scans to the
+/// store of the one-file export whichever file is created first: the
+/// split host's pages keep their numbering, so a truncated record past the
+/// split and every injected fault land on the same page indices.
+#[test]
+fn multi_file_snapshot_scans_as_its_one_file_export() {
+    let archive = Archive::new(CorpusConfig { seed: 4740657, scale: 0.002 });
+    let snap = Snapshot::ALL[7];
+    let one = tmpdir("one-file");
+    let (warc_path, cdx_path, _) = warc::export_snapshot(&archive, snap, &one, 6).unwrap();
+    let raw = std::fs::read(&warc_path).unwrap();
+    let text = std::fs::read_to_string(&cdx_path).unwrap();
+    let mut lines: Vec<CdxjLine> = text.lines().map(|l| CdxjLine::parse(l).unwrap()).collect();
+    let host = |line: &CdxjLine| line.url.split('/').nth(2).unwrap().to_owned();
+    // Split after the third page of the host in the middle of the index.
+    let mid = lines.len() / 2;
+    let first = (0..mid).rev().take_while(|&i| host(&lines[i]) == host(&lines[mid])).last();
+    let split = first.unwrap_or(mid) + 3;
+    assert_eq!(host(&lines[split - 1]), host(&lines[split]), "the split is inside a host");
+    // A record past the split, cut short.
+    lines[split + 1].length -= 10;
+    let render = |lines: &[CdxjLine]| lines.iter().map(|l| l.render() + "\n").collect::<String>();
+    std::fs::write(&cdx_path, render(&lines)).unwrap();
+
+    let faults = FaultPlan::new(9, 0.2).unwrap();
+    let scans = |dir: &Path| {
+        let source = WarcSource::open(&discover(dir).unwrap()).unwrap();
+        let json = |opts| serde_json::to_string(&scan_snapshots(&source, &[snap], opts)).unwrap();
+        (json(ScanOptions::new()), json(ScanOptions::new().inject_faults(faults)))
+    };
+    let expected = scans(&one);
+    let split_host = host(&lines[split]);
+    let truncated = scan_warc(&discover(&one).unwrap()).unwrap().quarantine;
+    assert_eq!(truncated.len(), 1);
+    assert_eq!(
+        (truncated[0].url.as_str(), truncated[0].class),
+        (lines[split + 1].url.as_str(), ErrorClass::TruncatedRecord)
+    );
+    assert!(truncated[0].url.contains(&split_host));
+
+    // A directory lists its files in an order of its own (ext4 by a hash
+    // of the name, tmpfs by creation), so try several names, each pair
+    // created in both orders.
+    let parts = [&lines[..split], &lines[split..]];
+    for names in [["00000", "00001"], ["1", "2"], ["3", "4"], ["6", "7"]] {
+        for order in [[0, 1], [1, 0]] {
+            let dir = tmpdir(&format!("two-files-{}-{}", names[order[0]], names[order[1]]));
+            for part in order {
+                let mut warc_bytes = Vec::new();
+                let mut moved = Vec::new();
+                for line in parts[part] {
+                    let at = line.offset as usize;
+                    let record = &raw[at..at + line.length as usize];
+                    moved.push(CdxjLine { offset: warc_bytes.len() as u64, ..line.clone() });
+                    warc_bytes.extend_from_slice(record);
+                }
+                let stem = dir.join(format!("CC-MAIN-2022-05-{}", names[part]));
+                std::fs::write(stem.with_extension("warc"), warc_bytes).unwrap();
+                std::fs::write(stem.with_extension("cdxj"), render(&moved)).unwrap();
+            }
+            assert_eq!(discover(&dir).unwrap().len(), 2);
+            assert!(
+                scans(&dir) == expected,
+                "{}: the store differs from the one-file export's",
+                dir.display()
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+    std::fs::remove_dir_all(&one).ok();
+}
+
 /// A WARC store of the 2021 snapshot, the one §5.2 reads, renders the
 /// side studies of the seed-0 universe its header names, not of its
 /// records (see [`WARC_AUX`]).
