@@ -123,11 +123,13 @@ fn typical_pages_allocs_within_ceiling() {
 // its attributes in one recycled arena (one shared list per start tag),
 // "unrecycled" ones from before that store, "copied" ones from before text
 // runs and attribute lists moved into the DOM uncopied, "doctype" ones
-// from before the DOCTYPE name was lexed in the tokenizer's scratch.
-const DENSE_PARSE_CEILING: u64 = 2_470; // measured 2,150 (4,175 shared, 4,457 unrecycled, 7,657 copied, 53,274 pre-interning)
-const DENSE_BATTERY_CEILING: u64 = 7_070; // measured 6,151 (8,186 shared, 8,468 unrecycled, 16,869 copied, 75,287 pre-interning)
-const ATTR_HEAVY_CEILING: u64 = 2_280; // measured 1,981 (4,193 shared, 4,481 unrecycled, 8,918 copied, 103,196 pre-interning)
-const ATTR_SOUP_CEILING: u64 = 3_490; // measured 3,031 (6,304 shared, 6,590 unrecycled, 13,124 copied, 134,712 pre-interning)
-const FORMATTING_PARSE_CEILING: u64 = 1_800; // measured 1,568 (3,367 shared, 3,648 unrecycled, 5,432 copied, 801,095 unshared)
-const TYPICAL_PARSE_CEILING: f64 = 25.3; // measured 22.0 (23.0 doctype, 62.0 shared, 132.8 unrecycled, 238.9 copied)
+// from before the DOCTYPE name was lexed in the tokenizer's scratch,
+// "named" ones from before tree events named tags by atom and the
+// formatting list and end-tag buffer were recycled.
+const DENSE_PARSE_CEILING: u64 = 1_550; // measured 1,348 (2,150 named, 4,175 shared, 4,457 unrecycled, 7,657 copied, 53,274 pre-interning)
+const DENSE_BATTERY_CEILING: u64 = 6_150; // measured 5,349 (6,151 named, 8,186 shared, 8,468 unrecycled, 16,869 copied, 75,287 pre-interning)
+const ATTR_HEAVY_CEILING: u64 = 2_280; // measured 1,979 (4,193 shared, 4,481 unrecycled, 8,918 copied, 103,196 pre-interning)
+const ATTR_SOUP_CEILING: u64 = 3_490; // measured 3,029 (6,304 shared, 6,590 unrecycled, 13,124 copied, 134,712 pre-interning)
+const FORMATTING_PARSE_CEILING: u64 = 770; // measured 666 (1,568 named, 3,367 shared, 3,648 unrecycled, 5,432 copied, 801,095 unshared)
+const TYPICAL_PARSE_CEILING: f64 = 19.4; // measured 16.9 (22.0 named, 23.0 doctype, 62.0 shared, 132.8 unrecycled, 238.9 copied)
 const TYPICAL_BATTERY_CEILING: f64 = 7.0; // measured 6.1 (46.7 lowercasing values)

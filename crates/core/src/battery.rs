@@ -12,9 +12,18 @@
 //! call, then walks each source exactly once — errors → events → start
 //! tags → pre-order DOM → finish — dispatching every item only to the
 //! rules that asked for it. Whole passes are skipped when no rule in the
-//! battery wants them, except two that always run: the tag pass also feeds
-//! the §4.5 mitigation flags, and the element pass counts §4.2's math
-//! usage ([`PageReport::uses_math`]). Findings are sorted by `(kind, offset)` at the end;
+//! battery wants them, except the tag pass, which also feeds the §4.5
+//! mitigation flags.
+//!
+//! The element pass is dispatched on names. One table maps each static
+//! atom to the DOM rules that report at that name
+//! ([`Check::reports_at`]) and to §4.2's math count
+//! ([`PageReport::uses_math`]), so an element no rule reads costs one
+//! table load. A rule takes part in a page's walk only if the page's start
+//! tags name one of its report names ([`CheckContext::tag_names`]), and
+//! the walk is skipped when no rule takes part and no `<math>` tag
+//! occurs. DM2.3 also reads every element until its first URL-using one
+//! ([`Check::reads_every_element`]). Findings are sorted by `(kind, offset)` at the end;
 //! since every kind belongs to exactly one rule and each rule sees its
 //! items in the same source order the pre-fusion per-rule scans used, the
 //! output is byte-identical to theirs (kept as `hv_fuzz::reference::checkers`).
@@ -43,10 +52,15 @@ use crate::context::CheckContext;
 use crate::report::PageReport;
 use crate::taxonomy::ViolationKind;
 use serde::{Deserialize, Serialize};
-use spec_html::Atom;
+use spec_html::atoms::static_atoms;
+use spec_html::{Atom, StaticAtomSet};
 use std::time::Instant;
 
 const MATH: Atom = Atom::known("math");
+
+/// The bit of an element-table entry that marks `math`; the other bits
+/// are rules, by index into the battery.
+const MATH_BIT: u64 = 1 << 63;
 
 /// Why a raw byte body could not be analyzed. Returned by
 /// [`Battery::try_run_bytes`] so callers classify the page instead of
@@ -87,8 +101,12 @@ pub struct Battery {
     errors_idx: Vec<usize>,
     events_idx: Vec<usize>,
     tags_idx: Vec<usize>,
-    dom_idx: Vec<usize>,
     finish_idx: Vec<usize>,
+    /// The DOM rules, each with the static names it reports at.
+    dom_rules: Vec<(usize, StaticAtomSet)>,
+    /// Per static atom id: a bit per DOM rule that reports at that name,
+    /// and [`MATH_BIT`] for `math`.
+    element_table: Box<[u64]>,
     /// Per-rule instrumentation scratch for one page (zeroed after use).
     scratch: Vec<Scratch>,
     /// Reused output buffer for [`Battery::run_ref`]; findings capacity is
@@ -121,6 +139,7 @@ impl Battery {
     }
 
     fn from_checks(checks: Vec<Box<dyn Check>>) -> Self {
+        assert!(checks.len() < 64, "rule bits must leave MATH_BIT free");
         let kinds = checks.iter().map(|c| c.kind()).collect();
         let table = |want: Interest| -> Vec<usize> {
             checks
@@ -130,13 +149,27 @@ impl Battery {
                 .map(|(i, _)| i)
                 .collect()
         };
+        let dom_rules: Vec<(usize, StaticAtomSet)> = table(Interest::DOM)
+            .into_iter()
+            .map(|i| (i, StaticAtomSet::build(|name| checks[i].reports_at(name))))
+            .collect();
+        let element_table = static_atoms()
+            .map(|atom| {
+                let math = if atom == MATH { MATH_BIT } else { 0 };
+                dom_rules
+                    .iter()
+                    .filter(|(_, names)| names.contains(&atom))
+                    .fold(math, |bits, &(i, _)| bits | (1 << i))
+            })
+            .collect();
         let scratch = vec![Scratch::default(); checks.len()];
         Battery {
             errors_idx: table(Interest::ERRORS),
             events_idx: table(Interest::EVENTS),
             tags_idx: table(Interest::START_TAGS),
-            dom_idx: table(Interest::DOM),
             finish_idx: table(Interest::FINISH),
+            dom_rules,
+            element_table,
             scratch,
             checks,
             kinds,
@@ -168,8 +201,9 @@ impl Battery {
             errors_idx,
             events_idx,
             tags_idx,
-            dom_idx,
             finish_idx,
+            dom_rules,
+            element_table,
             scratch,
             report,
             ..
@@ -223,13 +257,41 @@ impl Battery {
             }
         }
 
-        // The element pass always runs too: it counts §4.2's math usage.
-        let dom = &cx.parse.dom;
+        // The element pass, for the DOM rules that can report on this
+        // page and for §4.2's math count. Every element the tree holds is
+        // named by a start tag, so a name missing from the tags is missing
+        // from the tree.
+        let names = cx.tag_names();
+        let mut taking_part = 0u64;
+        for (i, reports) in dom_rules.iter() {
+            if reports.intersects(names) {
+                taking_part |= 1 << i;
+            }
+        }
         let mut uses_math = false;
-        for id in dom.all_elements() {
-            uses_math = uses_math || dom.element(id).is_some_and(|e| e.name == MATH);
-            for &i in dom_idx.iter() {
-                dispatch!(i, checks[i].on_node(cx, id, out));
+        if taking_part != 0 || names.contains(&MATH) {
+            // The rules that still read every element, whatever its name.
+            let mut reading_all = 0u64;
+            for &(i, _) in dom_rules.iter() {
+                if taking_part & (1 << i) != 0 && checks[i].reads_every_element() {
+                    reading_all |= 1 << i;
+                }
+            }
+            let dom = &cx.parse.dom;
+            for id in dom.descendants(dom.root()) {
+                let Some(e) = dom.element(id) else { continue };
+                // No rule reports at a dynamic name.
+                let named = e.name.static_id().map_or(0, |s| element_table[s]);
+                uses_math |= named & MATH_BIT != 0;
+                let mut due = (named & taking_part) | reading_all;
+                while due != 0 {
+                    let i = due.trailing_zeros() as usize;
+                    due &= due - 1;
+                    dispatch!(i, checks[i].on_node(cx, id, out));
+                    if reading_all & (1 << i) != 0 && !checks[i].reads_every_element() {
+                        reading_all &= !(1 << i);
+                    }
+                }
             }
         }
 
@@ -589,9 +651,75 @@ mod tests {
         let errors = cx.parse.errors.len() as u64;
         assert!(errors > 0);
         assert_eq!(stats.get(ViolationKind::FB2).unwrap().dispatches, 2 * errors);
-        // DM1 walks every DOM element.
-        let elements = cx.parse.dom.all_elements().count() as u64;
-        assert_eq!(stats.get(ViolationKind::DM1).unwrap().dispatches, 2 * elements);
+        // DM1 is handed only `meta` elements, and the page has none.
+        assert_eq!(stats.get(ViolationKind::DM1).unwrap().dispatches, 0);
+    }
+
+    /// The walk hands each DOM rule the elements of its names, DM2.3 also
+    /// every element up to the first URL-using one, and nothing to a rule
+    /// whose names the page's tags lack.
+    #[test]
+    fn dom_rules_are_handed_only_their_elements() {
+        let mut battery = Battery::full();
+        let page = "<head><meta charset=x><title>t</title></head><body><p>a<div><base href=b>\
+                    <img src=c><path><base><svg><meta><rect></svg><meta http-equiv=d>";
+        let mut stats = battery.new_stats();
+        let report = battery.run_instrumented(&CheckContext::new(page), &mut stats).clone();
+        let dispatches = |kind| stats.get(kind).unwrap().dispatches;
+        // Three metas, one of them in SVG; two HTML bases.
+        assert_eq!(dispatches(ViolationKind::DM1), 3);
+        assert_eq!(dispatches(ViolationKind::DM2_1), 2);
+        assert_eq!(dispatches(ViolationKind::DM2_2), 2 + 1, "two bases and the finish call");
+        // html, head, meta, title, body, p, div, base, img (the first with
+        // a URL attribute), then only the second base.
+        assert_eq!(dispatches(ViolationKind::DM2_3), 9 + 1);
+        // `path` and `rect` are foreign-only names: the rule gets both and
+        // ignores `rect`, which sits in the SVG namespace.
+        assert_eq!(dispatches(ViolationKind::HF5_1), 2);
+        assert!(report.has(ViolationKind::DM2_1) && report.has(ViolationKind::HF5_1));
+
+        let mut stats = battery.new_stats();
+        battery.run_instrumented(&CheckContext::new("<p>x<b>y<table><td>z"), &mut stats);
+        for kind in
+            [ViolationKind::DM1, ViolationKind::DM2_1, ViolationKind::DM2_3, ViolationKind::HF5_1]
+        {
+            assert_eq!(stats.get(kind).unwrap().dispatches, 0, "{kind}");
+        }
+        assert_eq!(stats.get(ViolationKind::DM2_2).unwrap().dispatches, 1, "the finish call");
+    }
+
+    /// Every static atom maps to exactly the DOM rules whose
+    /// `reports_at` holds for it, plus the math bit for `math`.
+    #[test]
+    fn element_table_maps_every_static_atom_to_its_rules() {
+        for battery in [Battery::full(), Battery::only(&[ViolationKind::DM2_3, ViolationKind::FB1])]
+        {
+            for atom in static_atoms() {
+                let mut want = if atom == "math" { MATH_BIT } else { 0 };
+                for (i, c) in battery.checks.iter().enumerate() {
+                    if c.interest().contains(Interest::DOM) && c.reports_at(&atom) {
+                        want |= 1 << i;
+                    }
+                }
+                let id = atom.static_id().expect("a static atom");
+                assert_eq!(battery.element_table[id], want, "{atom:?}");
+            }
+        }
+    }
+
+    /// Every name a DOM rule reports at is a static atom, so the page's
+    /// summary of static tag names can answer for it.
+    #[test]
+    fn report_names_are_static_atoms() {
+        let declared = ["meta", "base", "math"].iter().chain(spec_html::tags::SVG_ONLY);
+        for name in declared.chain(spec_html::tags::MATHML_ONLY) {
+            assert!(Atom::from_name(name).static_id().is_some(), "{name}");
+        }
+        for c in checkers::all_checks() {
+            for name in ["x-widget", "meta-x", "clip-path", "#text"] {
+                assert!(!c.reports_at(&Atom::from_name(name)), "{} at {name}", c.kind());
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,12 @@ use crate::report::Finding;
 use crate::taxonomy::ViolationKind;
 use spec_html::tags;
 use spec_html::tokenizer::Tag;
-use spec_html::{TreeEvent, TreeEventKind};
+use spec_html::{Atom, TreeEvent, TreeEventKind};
+
+const OPTION: Atom = Atom::known("option");
+const SELECT: Atom = Atom::known("select");
+const TARGET: Atom = Atom::known("target");
+const TEXTAREA: Atom = Atom::known("textarea");
 
 /// DE1 — Non-terminated `textarea`.
 ///
@@ -29,7 +34,7 @@ impl Check for De1 {
     }
 
     fn finish(&mut self, cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
-        if cx.parse.open_at_eof.iter().any(|n| n == "textarea") {
+        if cx.parse.open_at_eof.contains(&TEXTAREA) {
             out.push(Finding::new(
                 ViolationKind::DE1,
                 cx.raw.chars().count(),
@@ -58,7 +63,7 @@ impl Check for De2 {
     }
 
     fn finish(&mut self, cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
-        if cx.parse.open_at_eof.iter().any(|n| n == "select" || n == "option") {
+        if cx.parse.open_at_eof.iter().any(|n| *n == SELECT || *n == OPTION) {
             out.push(Finding::new(
                 ViolationKind::DE2,
                 cx.raw.chars().count(),
@@ -143,7 +148,7 @@ impl Check for De3_3 {
 
     fn on_start_tag(&mut self, cx: &CheckContext<'_>, tag: &Tag, out: &mut Vec<Finding>) {
         for attr in cx.parse.dom.attrs(tag.attrs) {
-            if attr.name == "target" && attr.raw_value().contains('\n') {
+            if attr.name == TARGET && attr.raw_value().contains('\n') {
                 out.push(Finding::new(
                     ViolationKind::DE3_3,
                     tag.offset,

@@ -8,8 +8,7 @@ use spec_html::dom::{Element, NodeId};
 use spec_html::errors::ParseError;
 use spec_html::{tags, Atom, ErrorCode, Namespace};
 
-// The DOM rules visit every element, so they compare names as static atoms
-// (an integer compare) rather than as strings.
+// Names compare as static atoms (an integer compare), not as strings.
 const BASE: Atom = Atom::known("base");
 const HEAD: Atom = Atom::known("head");
 const HTML: Atom = Atom::known("html");
@@ -44,6 +43,10 @@ impl Check for Dm1 {
         Interest::DOM
     }
 
+    fn reports_at(&self, name: &Atom) -> bool {
+        *name == META
+    }
+
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {
         let Some(e) = html_element(cx, id, &META) else { return };
         let Some(what) = cx.parse.dom.attrs(e.attrs).iter().find(|a| a.name == HTTP_EQUIV) else {
@@ -72,6 +75,10 @@ impl Check for Dm2_1 {
         Interest::DOM
     }
 
+    fn reports_at(&self, name: &Atom) -> bool {
+        *name == BASE
+    }
+
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {
         let Some(e) = html_element(cx, id, &BASE) else { return };
         if !cx.inside_head(id) {
@@ -98,6 +105,10 @@ impl Check for Dm2_2 {
 
     fn reset(&mut self) {
         self.bases = 0;
+    }
+
+    fn reports_at(&self, name: &Atom) -> bool {
+        *name == BASE
     }
 
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, _out: &mut Vec<Finding>) {
@@ -137,6 +148,15 @@ impl Check for Dm2_3 {
 
     fn reset(&mut self) {
         self.seen_url_element = None;
+    }
+
+    fn reports_at(&self, name: &Atom) -> bool {
+        *name == BASE
+    }
+
+    /// Until the first URL-using element, any element may be it.
+    fn reads_every_element(&self) -> bool {
+        self.seen_url_element.is_none()
     }
 
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {

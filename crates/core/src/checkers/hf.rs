@@ -6,7 +6,9 @@ use crate::report::Finding;
 use crate::taxonomy::ViolationKind;
 use spec_html::dom::{Namespace, NodeId};
 use spec_html::tokenizer::Tag;
-use spec_html::{tags, TreeEvent, TreeEventKind};
+use spec_html::{tags, Atom, TreeEvent, TreeEventKind};
+
+const BODY: Atom = Atom::known("body");
 
 /// HF1 — broken head section: head tags omitted, or non-head content inside
 /// the head forcing the parser to relocate everything that follows. The
@@ -29,11 +31,11 @@ impl Check for Hf1 {
             TreeEventKind::ImplicitHead => {
                 out.push(Finding::new(ViolationKind::HF1, ev.offset, "head tag omitted"));
             }
-            TreeEventKind::HeadClosedBy { tag } => {
+            TreeEventKind::HeadClosedBy { by } => {
                 out.push(Finding::new(
                     ViolationKind::HF1,
                     ev.offset,
-                    format!("head implicitly closed by <{tag}>"),
+                    format!("head implicitly closed by <{by}>"),
                 ));
             }
             TreeEventKind::LateHeadContent { tag } => {
@@ -135,7 +137,7 @@ impl Check for Hf3 {
     }
 
     fn on_start_tag(&mut self, _cx: &CheckContext<'_>, tag: &Tag, _out: &mut Vec<Finding>) {
-        if tag.name == "body" {
+        if tag.name == BODY {
             self.body_tags += 1;
             if self.body_tags == 2 {
                 self.second_body_offset = tag.offset;
@@ -198,11 +200,13 @@ impl Check for Hf5_1 {
         Interest::DOM
     }
 
+    fn reports_at(&self, name: &Atom) -> bool {
+        tags::is_svg_only_atom(name) || tags::is_mathml_only_atom(name)
+    }
+
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {
         let Some(e) = cx.parse.dom.element(id) else { return };
-        if e.ns == Namespace::Html
-            && (tags::is_svg_only_atom(&e.name) || tags::is_mathml_only_atom(&e.name))
-        {
+        if e.ns == Namespace::Html && self.reports_at(&e.name) {
             out.push(Finding::new(
                 ViolationKind::HF5_1,
                 e.src_offset,

@@ -6,7 +6,9 @@
 //! implements the matching [`Check`] handlers, and [`crate::Battery`]
 //! makes one fused pass over the page (parse errors → tree events → start
 //! tags → DOM pre-order walk → finish), dispatching every item only to the
-//! rules that asked for it. Rules that need cross-event state (DE1/DE2's
+//! rules that asked for it. A DOM rule also names the elements it can
+//! report at ([`Check::reports_at`]), so the walk hands it only those and
+//! runs only on pages whose start tags name one. Rules that need cross-event state (DE1/DE2's
 //! EOF stack, HF2's head-close correlation, HF3's body counting) keep it
 //! in small per-check accumulators, reset per page.
 //!
@@ -47,7 +49,8 @@ impl Interest {
     pub const EVENTS: Interest = Interest(1 << 1);
     /// Checker-relevant start tags, in source order.
     pub const START_TAGS: Interest = Interest(1 << 2);
-    /// The shared pre-order DOM element walk.
+    /// The shared pre-order DOM element walk, for the elements named in
+    /// [`Check::reports_at`].
     pub const DOM: Interest = Interest(1 << 3);
     /// One [`Check::finish`] call after all passes.
     pub const FINISH: Interest = Interest(1 << 4);
@@ -110,6 +113,25 @@ pub trait Check: Send + Sync {
     /// One element of the shared pre-order DOM walk.
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {
         let _ = (cx, id, out);
+    }
+
+    /// For a rule with [`Interest::DOM`]: whether it can report at an
+    /// element named `name`. The walk hands the rule the elements of these
+    /// names, and the battery runs the rule's walk only on pages whose
+    /// start tags name one ([`CheckContext::tag_names`]). Every such name
+    /// must be a static atom, since that summary holds no other.
+    fn reports_at(&self, name: &Atom) -> bool {
+        let _ = name;
+        false
+    }
+
+    /// For a rule with [`Interest::DOM`]: whether it still reads every
+    /// element of the walk, not only those it reports at. The battery
+    /// asks before the walk and after each element it hands over; once
+    /// the answer is false, the rule gets only its own names for the rest
+    /// of the page.
+    fn reads_every_element(&self) -> bool {
+        false
     }
 
     /// Called once after all passes; rules that accumulate (or read

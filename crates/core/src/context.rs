@@ -7,7 +7,7 @@
 
 use spec_html::dom::{Document, NodeId};
 use spec_html::tokenizer::Tag;
-use spec_html::{Atom, KeptTags, ParseOutput};
+use spec_html::{Atom, KeptTags, ParseOutput, StaticAtomSet, TagSink};
 use std::cell::{Cell, OnceCell};
 
 const BODY: Atom = Atom::known("body");
@@ -31,6 +31,8 @@ pub struct CheckContext<'a> {
     /// the tag sink (the parser itself no longer retains tags). Their
     /// attributes are read through `parse.dom.attrs`.
     start_tags: KeptTags,
+    /// The static names of every start tag, collected by the same tap.
+    tag_names: StaticAtomSet,
     /// Resumable char→byte cursor for [`CheckContext::excerpt`]: findings
     /// arrive in source order, so successive excerpt offsets are monotone
     /// and each call advances from where the last one stopped instead of
@@ -58,19 +60,7 @@ pub(crate) fn head_members(dom: &Document) -> Vec<bool> {
 impl<'a> CheckContext<'a> {
     /// Parse `raw` and build the context.
     pub fn new(raw: &'a str) -> Self {
-        let mut start_tags = KeptTags::new();
-        let parse = spec_html::parse_document_with(raw, &mut |tag| {
-            if checker_relevant(tag) {
-                start_tags.push(tag.clone());
-            }
-        });
-        CheckContext {
-            raw,
-            parse,
-            start_tags,
-            cursor: Cell::new((0, 0)),
-            head_members: OnceCell::new(),
-        }
+        CheckContext::tapped(raw, |sink| spec_html::parse_document_with(raw, sink))
     }
 
     /// Build the context from an HTML *fragment* (innerHTML semantics in
@@ -79,8 +69,16 @@ impl<'a> CheckContext<'a> {
     /// structural checks that need a document head/body (HF1–HF3) cannot
     /// fire here, exactly as in the paper's fragment analysis.
     pub fn fragment(raw: &'a str, context: &str) -> Self {
+        CheckContext::tapped(raw, |sink| spec_html::parse_fragment_with_sink(raw, context, sink))
+    }
+
+    /// Run `parse` with the start-tag tap that keeps the checker-relevant
+    /// tags and notes every tag's name.
+    fn tapped(raw: &'a str, parse: impl FnOnce(TagSink<'_>) -> ParseOutput) -> Self {
         let mut start_tags = KeptTags::new();
-        let parse = spec_html::parse_fragment_with_sink(raw, context, &mut |tag| {
+        let mut tag_names = StaticAtomSet::new();
+        let parse = parse(&mut |tag| {
+            tag_names.insert(&tag.name);
             if checker_relevant(tag) {
                 start_tags.push(tag.clone());
             }
@@ -89,6 +87,7 @@ impl<'a> CheckContext<'a> {
             raw,
             parse,
             start_tags,
+            tag_names,
             cursor: Cell::new((0, 0)),
             head_members: OnceCell::new(),
         }
@@ -106,6 +105,19 @@ impl<'a> CheckContext<'a> {
     /// mitigation flag and are not collected.)
     pub fn start_tags(&self) -> impl Iterator<Item = &Tag> {
         self.start_tags.iter()
+    }
+
+    /// The static names of the page's start tags. Every element of the
+    /// parsed tree whose name the checkers declare (`meta`, `base`, `math`
+    /// and the foreign-only names) is named by a start tag: the other
+    /// names the tree builder gives elements are implied `html`, `head`,
+    /// `body`, `tbody`, `tr`, `colgroup`, `p` and `br`, `img` for an
+    /// `<image>` tag, and the camelCase SVG spelling of a tag's name, and
+    /// a re-created formatting element copies an earlier tag's name. So a
+    /// declared name missing here is missing from the tree, and the
+    /// battery skips the rules that can only report at it.
+    pub fn tag_names(&self) -> &StaticAtomSet {
+        &self.tag_names
     }
 
     /// A short excerpt of the source around a character offset, for

@@ -171,11 +171,11 @@ fn hf1(cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
             TreeEventKind::ImplicitHead => {
                 out.push(Finding::new(ViolationKind::HF1, ev.offset, "head tag omitted"));
             }
-            TreeEventKind::HeadClosedBy { tag } => {
+            TreeEventKind::HeadClosedBy { by } => {
                 out.push(Finding::new(
                     ViolationKind::HF1,
                     ev.offset,
-                    format!("head implicitly closed by <{tag}>"),
+                    format!("head implicitly closed by <{by}>"),
                 ));
             }
             TreeEventKind::LateHeadContent { tag } => {
@@ -358,7 +358,7 @@ pub fn run(cx: &CheckContext<'_>) -> PageReport {
 mod tests {
     use super::*;
     use hv_core::Battery;
-    use spec_html::TreeEvent;
+    use spec_html::{Atom, TreeEvent, Trigger};
 
     /// HF2's one-flag accumulator vs the reference whole-vec rescan, on an
     /// adversarial synthetic event stream with many implicit bodies: same
@@ -373,12 +373,14 @@ mod tests {
                 // Head closed by the same token that implies the body:
                 // HF1 fallout, not HF2.
                 events.push(TreeEvent {
-                    kind: TreeEventKind::HeadClosedBy { tag: "p".into() },
+                    kind: TreeEventKind::HeadClosedBy {
+                        by: Trigger::StartTag(Atom::from_name("p")),
+                    },
                     offset,
                 });
             }
             events.push(TreeEvent {
-                kind: TreeEventKind::ImplicitBody { by: format!("<p#{i}>") },
+                kind: TreeEventKind::ImplicitBody { by: Trigger::Text(format!("<p#{i}>")) },
                 offset,
             });
         }

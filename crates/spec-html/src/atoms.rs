@@ -420,6 +420,70 @@ impl From<&Atom> for Atom {
     }
 }
 
+/// Every static atom, in [`STATIC_ATOMS`] order.
+pub fn static_atoms() -> impl Iterator<Item = Atom> {
+    (0..ATOMS.len()).map(|id| Atom(Repr::Static(id as u16)))
+}
+
+/// Words of a [`StaticAtomSet`]: one bit per entry of [`STATIC_ATOMS`].
+const SET_WORDS: usize = ATOMS.len().div_ceil(64);
+
+/// A set of static atoms, one bit per entry of [`STATIC_ATOMS`]: adding or
+/// probing an atom is one bit operation, and the set is a plain array, so
+/// keeping one per page allocates nothing. Dynamic atoms are never members.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StaticAtomSet([u64; SET_WORDS]);
+
+impl StaticAtomSet {
+    /// The empty set.
+    pub const fn new() -> StaticAtomSet {
+        StaticAtomSet([0; SET_WORDS])
+    }
+
+    /// The static atoms that satisfy `pred`.
+    pub fn build(pred: impl Fn(&Atom) -> bool) -> StaticAtomSet {
+        let mut set = StaticAtomSet::new();
+        for atom in static_atoms().filter(|a| pred(a)) {
+            set.insert(&atom);
+        }
+        set
+    }
+
+    /// Add `atom`; a dynamic atom is ignored.
+    #[inline]
+    pub fn insert(&mut self, atom: &Atom) {
+        if let Repr::Static(id) = atom.0 {
+            self.0[id as usize >> 6] |= 1 << (id & 63);
+        }
+    }
+
+    /// Whether `atom` is a member (never, for a dynamic atom).
+    #[inline]
+    pub fn contains(&self, atom: &Atom) -> bool {
+        match atom.0 {
+            Repr::Static(id) => self.contains_id(id as usize),
+            Repr::Dyn(_) => false,
+        }
+    }
+
+    /// Whether the static atom with table index `id` is a member.
+    #[inline]
+    pub(crate) fn contains_id(&self, id: usize) -> bool {
+        self.0[id >> 6] & (1 << (id & 63)) != 0
+    }
+
+    /// Whether the two sets share a member.
+    pub fn intersects(&self, other: &StaticAtomSet) -> bool {
+        self.0.iter().zip(&other.0).any(|(a, b)| a & b != 0)
+    }
+}
+
+impl Default for StaticAtomSet {
+    fn default() -> StaticAtomSet {
+        StaticAtomSet::new()
+    }
+}
+
 /// Per-parse dedup set for names outside the static table. One lives in
 /// the tokenizer; fresh per parse (see module docs).
 pub struct Interner {
@@ -684,6 +748,23 @@ mod tests {
             assert!(atom.static_id().is_some(), "{name} should be static");
             assert_eq!(atom, name);
         }
+    }
+
+    #[test]
+    fn static_atom_set_holds_static_atoms_only() {
+        let mut set = StaticAtomSet::new();
+        let custom = Atom::from_name("x-custom-widget");
+        for atom in [Atom::from_name("meta"), Atom::from_name("zoomAndPan"), custom.clone()] {
+            set.insert(&atom);
+        }
+        assert!(set.contains(&Atom::from_name("meta")) && set.contains(&atom!("zoomAndPan")));
+        assert!(!set.contains(&custom) && !set.contains(&atom!("base")));
+        assert_eq!(static_atoms().filter(|a| set.contains(a)).count(), 2);
+        let base = StaticAtomSet::build(|a| *a == "base");
+        assert!(!set.intersects(&base));
+        set.insert(&atom!("base"));
+        assert!(set.intersects(&base));
+        assert_eq!(static_atoms().count(), STATIC_ATOMS.len());
     }
 
     #[test]

@@ -53,12 +53,12 @@ pub mod tags;
 pub mod tokenizer;
 pub mod tree_builder;
 
-pub use atoms::{Atom, SharedStr};
+pub use atoms::{Atom, SharedStr, StaticAtomSet};
 pub use dom::{Document as Dom, Namespace, NodeData, NodeId};
 pub use errors::{ErrorCode, ParseError};
 pub use tree_builder::{
     fragment_children, parse_fragment, parse_fragment_with_sink, KeptTags, ParseOutput, TagSink,
-    TreeEvent, TreeEventKind,
+    TreeEvent, TreeEventKind, Trigger,
 };
 
 /// Parse a complete HTML document the way a browser would, recording every

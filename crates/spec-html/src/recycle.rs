@@ -3,9 +3,10 @@
 //! A scan parses one page after another on each worker thread, and every
 //! parse needs the same buffers: the DOM's node vector and attribute arena,
 //! one `String` per text run, the tokenizer's scratch strings and attribute
-//! list, the tables of the stack of open elements, the lists a parse hands
-//! out (errors, tree events, the names open at EOF) and the start tags a
-//! caller keeps ([`KeptTags`](crate::KeptTags)). Grown from empty on every
+//! list, the tables of the stack of open elements, the list of active
+//! formatting elements, the lists a parse hands out (errors, tree events,
+//! the names open at EOF) and the start tags a caller keeps
+//! ([`KeptTags`](crate::KeptTags)). Grown from empty on every
 //! page, they cost a few dozen allocations and frees per page. This store
 //! keeps them between parses instead: a
 //! [`Document`](crate::dom::Document), a
@@ -33,7 +34,7 @@ use crate::dom::{Node, NodeData};
 use crate::errors::ParseError;
 use crate::tokenizer::{Attr, Tag};
 use crate::tree_builder::open::Entry;
-use crate::tree_builder::TreeEvent;
+use crate::tree_builder::{FormatEntry, TreeEvent};
 use std::cell::RefCell;
 
 /// Most text strings kept.
@@ -53,6 +54,8 @@ pub(crate) struct Scratch {
     pub attrs: Vec<Attr>,
     pub last_start_tag: String,
     pub doctype_name: String,
+    /// The RCDATA/RAWTEXT/script end-tag name buffer.
+    pub temp_buffer: String,
 }
 
 /// The tables of the stack of open elements.
@@ -71,6 +74,7 @@ struct Store {
     texts: Vec<String>,
     scratch: Option<Scratch>,
     stack: Option<StackTables>,
+    formatting: Vec<FormatEntry>,
     errors: Vec<ParseError>,
     events: Vec<TreeEvent>,
     names: Vec<Atom>,
@@ -85,6 +89,7 @@ thread_local! {
             texts: Vec::new(),
             scratch: None,
             stack: None,
+            formatting: Vec::new(),
             errors: Vec::new(),
             events: Vec::new(),
             names: Vec::new(),
@@ -178,6 +183,16 @@ pub(crate) fn give_attrs(attrs: Vec<Attr>) {
     give(attrs, |s| &mut s.attrs);
 }
 
+/// An empty list of active formatting elements.
+pub(crate) fn take_formatting() -> Vec<FormatEntry> {
+    take(|s| &mut s.formatting)
+}
+
+/// Take back a parse's list of active formatting elements.
+pub(crate) fn give_formatting(list: Vec<FormatEntry>) {
+    give(list, |s| &mut s.formatting);
+}
+
 /// An empty error list.
 pub(crate) fn take_errors() -> Vec<ParseError> {
     take(|s| &mut s.errors)
@@ -258,6 +273,7 @@ pub(crate) fn give_scratch(scratch: Scratch) {
             attrs,
             last_start_tag,
             doctype_name,
+            temp_buffer,
         } = scratch;
         s.scratch = Some(Scratch {
             tag_name: emptied_string(tag_name),
@@ -267,6 +283,7 @@ pub(crate) fn give_scratch(scratch: Scratch) {
             attrs: emptied(attrs),
             last_start_tag: emptied_string(last_start_tag),
             doctype_name: emptied_string(doctype_name),
+            temp_buffer: emptied_string(temp_buffer),
         });
     });
 }
@@ -297,8 +314,11 @@ pub(crate) fn held() -> (usize, usize, Vec<usize>, usize) {
         v.capacity() * size_of::<T>()
     }
     with(|s| {
-        let mut largest =
-            bytes(&s.errors).max(bytes(&s.events)).max(bytes(&s.names)).max(bytes(&s.tags));
+        let mut largest = bytes(&s.errors)
+            .max(bytes(&s.events))
+            .max(bytes(&s.names))
+            .max(bytes(&s.tags))
+            .max(bytes(&s.formatting));
         if let Some(sc) = &s.scratch {
             for cap in [
                 sc.tag_name.capacity(),
@@ -308,6 +328,7 @@ pub(crate) fn held() -> (usize, usize, Vec<usize>, usize) {
                 bytes(&sc.attrs),
                 sc.last_start_tag.capacity(),
                 sc.doctype_name.capacity(),
+                sc.temp_buffer.capacity(),
             ] {
                 largest = largest.max(cap);
             }
@@ -377,7 +398,9 @@ mod tests {
     #[test]
     fn store_hands_out_empty_buffers() {
         on_new_thread(|| {
-            drop(crate::parse_document("<p title=secret title=x>secret<table><tr><td>x &amp; y"));
+            drop(crate::parse_document(
+                "<title>secret</title><p title=secret title=x>secret<b>x<table><tr><td>x &amp; y",
+            ));
             let mut tok = crate::tokenizer::Tokenizer::new(
                 "<!DOCTYPE secret><p>secret<b title=\"sec&amp;ret",
             );
@@ -402,10 +425,13 @@ mod tests {
                 ("raw value", &sc.raw_value),
                 ("last start tag", &sc.last_start_tag),
                 ("doctype name", &sc.doctype_name),
+                ("temp buffer", &sc.temp_buffer),
             ] {
                 assert!(buf.is_empty() && buf.capacity() > 0, "{name}: {buf:?}");
             }
             assert!(sc.attrs.is_empty() && sc.attrs.capacity() > 0);
+            let formatting = take_formatting();
+            assert!(formatting.is_empty() && formatting.capacity() > 0);
             let st = take_stack();
             assert!(st.entries.is_empty() && st.top.is_empty() && st.on_stack.is_empty());
             assert!(st.top.capacity() > 0);

@@ -16,47 +16,25 @@
 //! are equivalent *by construction* — and `tests/atom_semantics.rs` pins
 //! the equivalence exhaustively anyway.
 
-use crate::atoms::{Atom, STATIC_ATOMS};
+use crate::atoms::{Atom, StaticAtomSet, STATIC_ATOMS};
 use std::sync::OnceLock;
-
-/// A bitset keyed by static-atom id.
-struct AtomSet {
-    words: Box<[u64]>,
-}
-
-impl AtomSet {
-    fn build(pred: fn(&str) -> bool) -> AtomSet {
-        let mut words = vec![0u64; STATIC_ATOMS.len().div_ceil(64)].into_boxed_slice();
-        for (id, name) in STATIC_ATOMS.iter().enumerate() {
-            if pred(name) {
-                words[id >> 6] |= 1 << (id & 63);
-            }
-        }
-        AtomSet { words }
-    }
-
-    #[inline]
-    fn contains(&self, id: usize) -> bool {
-        self.words[id >> 6] & (1 << (id & 63)) != 0
-    }
-}
 
 /// All classification bitsets, derived once from the string predicates.
 struct ClassSets {
-    void: AtomSet,
-    special: AtomSet,
-    formatting: AtomSet,
-    head_content: AtomSet,
-    closes_p: AtomSet,
-    implied_end: AtomSet,
-    rcdata: AtomSet,
-    rawtext: AtomSet,
-    foreign_breakout: AtomSet,
-    mathml_text_integration: AtomSet,
-    svg_html_integration: AtomSet,
-    svg_only: AtomSet,
-    mathml_only: AtomSet,
-    url_attribute: AtomSet,
+    void: StaticAtomSet,
+    special: StaticAtomSet,
+    formatting: StaticAtomSet,
+    head_content: StaticAtomSet,
+    closes_p: StaticAtomSet,
+    implied_end: StaticAtomSet,
+    rcdata: StaticAtomSet,
+    rawtext: StaticAtomSet,
+    foreign_breakout: StaticAtomSet,
+    mathml_text_integration: StaticAtomSet,
+    svg_html_integration: StaticAtomSet,
+    svg_only: StaticAtomSet,
+    mathml_only: StaticAtomSet,
+    url_attribute: StaticAtomSet,
     /// Static-id → static-id maps for the SVG camelCase tag and attribute
     /// fixups (both spellings are in the table by construction).
     svg_fixup: Box<[u16]>,
@@ -99,23 +77,28 @@ fn fixup_atom(map: &[u16], fixup: fn(&str) -> Option<&'static str>, name: &Atom)
     }
 }
 
+/// The static atoms whose names satisfy `pred`.
+fn class(pred: fn(&str) -> bool) -> StaticAtomSet {
+    StaticAtomSet::build(|a| pred(a))
+}
+
 fn sets() -> &'static ClassSets {
     static SETS: OnceLock<ClassSets> = OnceLock::new();
     SETS.get_or_init(|| ClassSets {
-        void: AtomSet::build(is_void),
-        special: AtomSet::build(is_special),
-        formatting: AtomSet::build(is_formatting),
-        head_content: AtomSet::build(is_head_content),
-        closes_p: AtomSet::build(closes_p),
-        implied_end: AtomSet::build(implied_end_tag),
-        rcdata: AtomSet::build(is_rcdata),
-        rawtext: AtomSet::build(is_rawtext),
-        foreign_breakout: AtomSet::build(is_foreign_breakout),
-        mathml_text_integration: AtomSet::build(is_mathml_text_integration),
-        svg_html_integration: AtomSet::build(is_svg_html_integration),
-        svg_only: AtomSet::build(is_svg_only),
-        mathml_only: AtomSet::build(is_mathml_only),
-        url_attribute: AtomSet::build(is_url_attribute),
+        void: class(is_void),
+        special: class(is_special),
+        formatting: class(is_formatting),
+        head_content: class(is_head_content),
+        closes_p: class(closes_p),
+        implied_end: class(implied_end_tag),
+        rcdata: class(is_rcdata),
+        rawtext: class(is_rawtext),
+        foreign_breakout: class(is_foreign_breakout),
+        mathml_text_integration: class(is_mathml_text_integration),
+        svg_html_integration: class(is_svg_html_integration),
+        svg_only: class(is_svg_only),
+        mathml_only: class(is_mathml_only),
+        url_attribute: class(is_url_attribute),
         svg_fixup: fixup_map(svg_tag_fixup),
         svg_attr_fixup: fixup_map(svg_attr_fixup),
     })
@@ -127,7 +110,7 @@ macro_rules! atom_predicate {
         #[inline]
         pub fn $atom_fn(name: &Atom) -> bool {
             match name.static_id() {
-                Some(id) => sets().$set.contains(id),
+                Some(id) => sets().$set.contains_id(id),
                 None => $str_fn(name.as_str()),
             }
         }
@@ -485,66 +468,70 @@ pub fn is_svg_html_integration(name: &str) -> bool {
 /// Element names that exist only in the SVG namespace (used by the HF5_1
 /// checker to spot foreign-only elements parsed as HTML).
 pub fn is_svg_only(name: &str) -> bool {
-    matches!(
-        name,
-        "circle"
-            | "clippath"
-            | "defs"
-            | "ellipse"
-            | "fegaussianblur"
-            | "filter"
-            | "g"
-            | "lineargradient"
-            | "marker"
-            | "mask"
-            | "path"
-            | "pattern"
-            | "polygon"
-            | "polyline"
-            | "radialgradient"
-            | "rect"
-            | "stop"
-            | "symbol"
-            | "tspan"
-            | "use"
-    )
+    SVG_ONLY.contains(&name)
 }
+
+/// The names [`is_svg_only`] accepts, lowercase as tokenized.
+pub const SVG_ONLY: &[&str] = &[
+    "circle",
+    "clippath",
+    "defs",
+    "ellipse",
+    "fegaussianblur",
+    "filter",
+    "g",
+    "lineargradient",
+    "marker",
+    "mask",
+    "path",
+    "pattern",
+    "polygon",
+    "polyline",
+    "radialgradient",
+    "rect",
+    "stop",
+    "symbol",
+    "tspan",
+    "use",
+];
 
 /// Element names that exist only in the MathML namespace.
 pub fn is_mathml_only(name: &str) -> bool {
-    matches!(
-        name,
-        "annotation"
-            | "annotation-xml"
-            | "maction"
-            | "merror"
-            | "mfrac"
-            | "mglyph"
-            | "mi"
-            | "mmultiscripts"
-            | "mn"
-            | "mo"
-            | "mover"
-            | "mpadded"
-            | "mphantom"
-            | "mroot"
-            | "mrow"
-            | "ms"
-            | "mspace"
-            | "msqrt"
-            | "mstyle"
-            | "msub"
-            | "msubsup"
-            | "msup"
-            | "mtable"
-            | "mtd"
-            | "mtext"
-            | "mtr"
-            | "munder"
-            | "munderover"
-            | "semantics"
-    )
+    MATHML_ONLY.contains(&name)
 }
+
+/// The names [`is_mathml_only`] accepts.
+pub const MATHML_ONLY: &[&str] = &[
+    "annotation",
+    "annotation-xml",
+    "maction",
+    "merror",
+    "mfrac",
+    "mglyph",
+    "mi",
+    "mmultiscripts",
+    "mn",
+    "mo",
+    "mover",
+    "mpadded",
+    "mphantom",
+    "mroot",
+    "mrow",
+    "ms",
+    "mspace",
+    "msqrt",
+    "mstyle",
+    "msub",
+    "msubsup",
+    "msup",
+    "mtable",
+    "mtd",
+    "mtext",
+    "mtr",
+    "munder",
+    "munderover",
+    "semantics",
+];
 
 /// The SVG camelCase tag-name fixups of §13.2.6.5 ("Any other start tag" in
 /// foreign content): the tokenizer lowercases names; inside SVG the parser

@@ -223,6 +223,7 @@ impl<'a> Tokenizer<'a> {
             attrs,
             last_start_tag,
             doctype_name,
+            temp_buffer,
         } = recycle::take_scratch();
         let mut spare_texts = recycle::take_texts();
         Tokenizer {
@@ -253,7 +254,7 @@ impl<'a> Tokenizer<'a> {
             doctype: None,
             doctype_name,
             last_start_tag,
-            temp_buffer: String::new(),
+            temp_buffer,
             char_ref_code: 0,
             char_ref_start: 0,
             char_ref_start_byte: 0,
@@ -2208,8 +2209,10 @@ impl<'a> Tokenizer<'a> {
             }
             _ => {
                 self.emit_str("</");
-                let tmp = std::mem::take(&mut self.temp_buffer);
+                let mut tmp = std::mem::take(&mut self.temp_buffer);
                 self.emit_str(&tmp);
+                tmp.clear();
+                self.temp_buffer = tmp;
                 self.reconsume(content_state);
             }
         }
@@ -2295,6 +2298,7 @@ impl Drop for Tokenizer<'_> {
             attrs: std::mem::take(&mut self.tag_attrs),
             last_start_tag: std::mem::take(&mut self.last_start_tag),
             doctype_name: std::mem::take(&mut self.doctype_name),
+            temp_buffer: std::mem::take(&mut self.temp_buffer),
         });
     }
 }

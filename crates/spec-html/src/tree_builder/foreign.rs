@@ -118,10 +118,7 @@ impl Builder {
                     // HF5: pop foreign elements until an integration point
                     // or HTML element, then reprocess with HTML rules.
                     let root_ns = self.foreign_root_ns();
-                    self.event(TreeEventKind::ForeignBreakout {
-                        tag: tag.name.to_string(),
-                        root_ns,
-                    });
+                    self.event(TreeEventKind::ForeignBreakout { tag: tag.name.clone(), root_ns });
                     #[allow(clippy::while_let_loop)]
                     loop {
                         let Some(cur) = self.open.last() else { break };
@@ -163,9 +160,7 @@ impl Builder {
                     // case-insensitive compare matches the old
                     // `to_ascii_lowercase()` allocation exactly.
                     if !cur_name.eq_ignore_ascii_case(&tag.name) {
-                        self.event(TreeEventKind::ForeignEndTagMismatch {
-                            tag: tag.name.to_string(),
-                        });
+                        self.event(TreeEventKind::ForeignEndTagMismatch { tag: tag.name.clone() });
                     }
                 }
                 let mut i = self.open.len();

@@ -178,18 +178,18 @@ impl Builder {
 
             // Not on the stack of open elements → parse error; remove.
             let Some(stack_idx) = self.open.rposition(fmt_node) else {
-                self.event(TreeEventKind::StrayEndTag { tag: subject.to_string() });
+                self.event(TreeEventKind::StrayEndTag { tag: subject.clone() });
                 self.formatting.remove(fmt_idx);
                 return true;
             };
 
             // Not in scope → parse error; ignore.
             if !self.open.in_scope(subject) {
-                self.event(TreeEventKind::StrayEndTag { tag: subject.to_string() });
+                self.event(TreeEventKind::StrayEndTag { tag: subject.clone() });
                 return true;
             }
             if self.open.last() != Some(fmt_node) {
-                self.event(TreeEventKind::AdoptionAgency { tag: subject.to_string() });
+                self.event(TreeEventKind::AdoptionAgency { tag: subject.clone() });
             }
 
             // Furthest block: lowest element in the stack below fmt that is

@@ -70,7 +70,7 @@ impl Builder {
                     let mut ignored = Vec::new();
                     self.merge_attrs(Target::Body, body, tag.attrs, |a, added| {
                         let names = if added { &mut new_attrs } else { &mut ignored };
-                        names.push(a.name.to_string());
+                        names.push(a.name.clone());
                     });
                     self.event(TreeEventKind::SecondBodyMerged {
                         new_attrs,
@@ -78,14 +78,14 @@ impl Builder {
                     });
                     self.frameset_ok = false;
                 } else {
-                    self.event(TreeEventKind::StrayStartTag { tag: "body".into() });
+                    self.event(TreeEventKind::StrayStartTag { tag: atom!("body") });
                 }
                 Ctl::Done
             }
             names::FRAMESET => {
                 // Only honoured when frameset_ok and the body can be
                 // replaced; modern pages never hit the honoured path.
-                self.event(TreeEventKind::StrayStartTag { tag: "frameset".into() });
+                self.event(TreeEventKind::StrayStartTag { tag: atom!("frameset") });
                 Ctl::Done
             }
             id if tags::closes_p_atom(&tag.name)
@@ -121,7 +121,7 @@ impl Builder {
                     self.close_p_element();
                 }
                 if matches!(self.current_name(), Some("h1" | "h2" | "h3" | "h4" | "h5" | "h6")) {
-                    self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayStartTag { tag: tag.name.clone() });
                     self.open.pop();
                 }
                 self.insert_html(&tag);
@@ -179,7 +179,7 @@ impl Builder {
             }
             names::BUTTON => {
                 if self.open.in_scope(&atom!("button")) {
-                    self.event(TreeEventKind::StrayStartTag { tag: "button".into() });
+                    self.event(TreeEventKind::StrayStartTag { tag: atom!("button") });
                     self.generate_implied_end_tags(None);
                     self.open.pop_through(&atom!("button"));
                 }
@@ -199,7 +199,7 @@ impl Builder {
                     _ => None,
                 });
                 if let Some(Some(node)) = open_a {
-                    self.event(TreeEventKind::AdoptionAgency { tag: "a".into() });
+                    self.event(TreeEventKind::AdoptionAgency { tag: atom!("a") });
                     self.adoption_agency(&atom!("a"));
                     self.remove_from_formatting(node);
                     self.open.remove_node(node);
@@ -229,7 +229,7 @@ impl Builder {
             names::NOBR => {
                 self.reconstruct_formatting();
                 if self.open.in_scope(&atom!("nobr")) {
-                    self.event(TreeEventKind::StrayStartTag { tag: "nobr".into() });
+                    self.event(TreeEventKind::StrayStartTag { tag: atom!("nobr") });
                     self.adoption_agency(&atom!("nobr"));
                     self.reconstruct_formatting();
                 }
@@ -287,7 +287,7 @@ impl Builder {
             }
             names::IMAGE => {
                 // Spec: "Don't ask." Treat it as img.
-                self.event(TreeEventKind::StrayStartTag { tag: "image".into() });
+                self.event(TreeEventKind::StrayStartTag { tag: atom!("image") });
                 let img = Tag { name: "img".into(), ..tag };
                 self.reconstruct_formatting();
                 self.insert_void(&img);
@@ -385,7 +385,7 @@ impl Builder {
             | names::TH
             | names::THEAD
             | names::TR => {
-                self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayStartTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             _ => {
@@ -401,7 +401,7 @@ impl Builder {
         match tag.name.id() {
             names::BODY => {
                 if !self.open.in_scope(&atom!("body")) {
-                    self.event(TreeEventKind::StrayEndTag { tag: "body".into() });
+                    self.event(TreeEventKind::StrayEndTag { tag: atom!("body") });
                     return Ctl::Done;
                 }
                 self.mode = InsertionMode::AfterBody;
@@ -409,7 +409,7 @@ impl Builder {
             }
             names::HTML => {
                 if !self.open.in_scope(&atom!("body")) {
-                    self.event(TreeEventKind::StrayEndTag { tag: "html".into() });
+                    self.event(TreeEventKind::StrayEndTag { tag: atom!("html") });
                     return Ctl::Done;
                 }
                 self.mode = InsertionMode::AfterBody;
@@ -443,7 +443,7 @@ impl Builder {
             | names::SUMMARY
             | names::UL => {
                 if !self.open.in_scope(&tag.name) {
-                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                     return Ctl::Done;
                 }
                 self.generate_implied_end_tags(None);
@@ -458,21 +458,21 @@ impl Builder {
                     {
                         self.generate_implied_end_tags(None);
                         if self.current() != Some(node) {
-                            self.event(TreeEventKind::StrayEndTag { tag: "form".into() });
+                            self.event(TreeEventKind::StrayEndTag { tag: atom!("form") });
                         }
                         // Remove the node (not pop-through): content after a
                         // misplaced </form> must keep its position.
                         self.open.remove_node(node);
                     }
                     _ => {
-                        self.event(TreeEventKind::StrayEndTag { tag: "form".into() });
+                        self.event(TreeEventKind::StrayEndTag { tag: atom!("form") });
                     }
                 }
                 Ctl::Done
             }
             names::P => {
                 if !self.open.in_button_scope(&atom!("p")) {
-                    self.event(TreeEventKind::StrayEndTag { tag: "p".into() });
+                    self.event(TreeEventKind::StrayEndTag { tag: atom!("p") });
                     let p = Tag::named("p");
                     self.insert_html(&p);
                 }
@@ -481,7 +481,7 @@ impl Builder {
             }
             names::LI => {
                 if !self.open.in_list_item_scope(&atom!("li")) {
-                    self.event(TreeEventKind::StrayEndTag { tag: "li".into() });
+                    self.event(TreeEventKind::StrayEndTag { tag: atom!("li") });
                     return Ctl::Done;
                 }
                 self.generate_implied_end_tags(Some("li"));
@@ -490,7 +490,7 @@ impl Builder {
             }
             names::DD | names::DT => {
                 if !self.open.in_scope(&tag.name) {
-                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                     return Ctl::Done;
                 }
                 self.generate_implied_end_tags(Some(&tag.name));
@@ -502,7 +502,7 @@ impl Builder {
                 let headings =
                     [atom!("h1"), atom!("h2"), atom!("h3"), atom!("h4"), atom!("h5"), atom!("h6")];
                 if !self.any_in_scope(&headings) {
-                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                     return Ctl::Done;
                 }
                 self.generate_implied_end_tags(None);
@@ -534,7 +534,7 @@ impl Builder {
             }
             names::APPLET | names::MARQUEE | names::OBJECT => {
                 if !self.open.in_scope(&tag.name) {
-                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                     return Ctl::Done;
                 }
                 self.generate_implied_end_tags(None);
@@ -544,7 +544,7 @@ impl Builder {
             }
             names::BR => {
                 // </br> behaves like <br>.
-                self.event(TreeEventKind::StrayEndTag { tag: "br".into() });
+                self.event(TreeEventKind::StrayEndTag { tag: atom!("br") });
                 self.reconstruct_formatting();
                 let br = Tag::named("br");
                 self.insert_void(&br);
@@ -557,7 +557,7 @@ impl Builder {
                     self.open.pop_through(&atom!("template"));
                     super::formatting::clear_to_marker(&mut self.formatting);
                 } else {
-                    self.event(TreeEventKind::StrayEndTag { tag: "template".into() });
+                    self.event(TreeEventKind::StrayEndTag { tag: atom!("template") });
                 }
                 Ctl::Done
             }
@@ -573,13 +573,13 @@ impl Builder {
     /// it, in which case the end tag is stray and ignored.
     pub(crate) fn any_other_end_tag(&mut self, name: &Atom) {
         let Some(i) = self.any_other_end_tag_target(name) else {
-            self.event(TreeEventKind::StrayEndTag { tag: name.to_string() });
+            self.event(TreeEventKind::StrayEndTag { tag: name.clone() });
             return;
         };
         let id = self.open[i];
         self.generate_implied_end_tags(Some(name));
         if self.current() != Some(id) {
-            self.event(TreeEventKind::StrayEndTag { tag: name.to_string() });
+            self.event(TreeEventKind::StrayEndTag { tag: name.clone() });
         }
         self.open.truncate(i);
     }

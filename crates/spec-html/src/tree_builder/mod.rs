@@ -23,7 +23,7 @@ mod names;
 pub(crate) mod open;
 mod tables;
 
-pub use events::{TreeEvent, TreeEventKind};
+pub use events::{TreeEvent, TreeEventKind, Trigger};
 pub use formatting::FormatEntry;
 
 use crate::atoms::{atom, Atom};
@@ -209,6 +209,7 @@ fn run_to_completion(mut b: Builder, mut tok: Tokenizer<'_>, sink: TagSink<'_>) 
         }
     }
     b.write_merged_attrs();
+    recycle::give_formatting(std::mem::take(&mut b.formatting));
     // Preprocessing errors first (matching the former eager-preprocessing
     // order), then tokenizer errors; the sort below is stable, so equal
     // offsets keep that order.
@@ -286,7 +287,7 @@ impl Builder {
             mode: InsertionMode::Initial,
             orig_mode: InsertionMode::InBody,
             open: OpenElements::new(),
-            formatting: Vec::new(),
+            formatting: recycle::take_formatting(),
             head: None,
             form: None,
             frameset_ok: true,
@@ -499,7 +500,7 @@ impl Builder {
         let foster = foster || self.foster;
         let (parent, before) = self.insertion_place(foster);
         if foster && before.is_some() {
-            self.event(TreeEventKind::FosterParented { tag: Some(tag.to_string()) });
+            self.event(TreeEventKind::FosterParented { tag: Some(tag.clone()) });
         }
         match before {
             Some(b) => self.doc.insert_before(b, id),
@@ -525,7 +526,7 @@ impl Builder {
     /// start tag (the flag is never acknowledged for those).
     pub(crate) fn check_self_closing(&mut self, tag: &Tag) {
         if tag.self_closing && !tags::is_void(&tag.name) {
-            self.event(TreeEventKind::SelfClosingNonVoid { tag: tag.name.to_string() });
+            self.event(TreeEventKind::SelfClosingNonVoid { tag: tag.name.clone() });
         }
     }
 
@@ -657,12 +658,12 @@ impl Builder {
             "dd", "dt", "li", "optgroup", "option", "p", "rb", "rp", "rt", "rtc", "tbody", "td",
             "tfoot", "th", "thead", "tr", "body", "html",
         ];
-        let names: Vec<String> = self
+        let names: Vec<Atom> = self
             .open
             .iter()
-            .filter_map(|id| self.doc.element(id).map(|e| e.name.as_str()))
-            .filter(|n| !omittable.contains(n))
-            .map(str::to_owned)
+            .filter_map(|id| self.doc.element(id).map(|e| &e.name))
+            .filter(|n| !omittable.contains(&n.as_str()))
+            .cloned()
             .collect();
         if !names.is_empty() {
             self.event(TreeEventKind::EofWithOpenElements { names });
@@ -747,7 +748,7 @@ impl Builder {
                     names::HEAD | names::BODY | names::HTML | names::BR
                 ) =>
             {
-                self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             other => {
@@ -801,7 +802,7 @@ impl Builder {
                     names::HEAD | names::BODY | names::HTML | names::BR
                 ) =>
             {
-                self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             other => {
@@ -827,7 +828,7 @@ impl Builder {
                 if s.is_empty() {
                     return Ctl::Done;
                 }
-                self.close_head_for(&describe_chars(&s));
+                self.close_head_for(Trigger::text(&s));
                 Ctl::Reprocess(Token::Characters(s))
             }
             Token::Comment(c) => {
@@ -880,7 +881,7 @@ impl Builder {
                     Ctl::Done
                 }
                 _ => {
-                    self.close_head_for(&tag.name.clone());
+                    self.close_head_for(Trigger::StartTag(tag.name.clone()));
                     Ctl::Reprocess(token)
                 }
             },
@@ -895,16 +896,16 @@ impl Builder {
                         self.open.pop_through(&atom!("template"));
                         formatting::clear_to_marker(&mut self.formatting);
                     } else {
-                        self.event(TreeEventKind::StrayEndTag { tag: "template".into() });
+                        self.event(TreeEventKind::StrayEndTag { tag: atom!("template") });
                     }
                     Ctl::Done
                 }
                 names::BODY | names::HTML | names::BR => {
-                    self.close_head_for(&format!("/{}", tag.name));
+                    self.close_head_for(Trigger::EndTag(tag.name.clone()));
                     Ctl::Reprocess(token)
                 }
                 _ => {
-                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                     Ctl::Done
                 }
             },
@@ -917,8 +918,8 @@ impl Builder {
 
     /// The "anything else" exit from in-head: the head closes because a
     /// non-head token arrived — the HF1 signal.
-    fn close_head_for(&mut self, what: &str) {
-        self.event(TreeEventKind::HeadClosedBy { tag: what.to_owned() });
+    fn close_head_for(&mut self, by: Trigger) {
+        self.event(TreeEventKind::HeadClosedBy { by });
         self.pop_head();
     }
 
@@ -989,16 +990,16 @@ impl Builder {
                 self.in_head(token, tok)
             }
             Token::StartTag(ref tag) if matches!(tag.name.id(), names::HEAD | names::NOSCRIPT) => {
-                self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayStartTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             Token::EndTag(ref tag) if tag.name != "br" => {
-                self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             other => {
                 // Parse error: pop noscript, back to in head.
-                self.event(TreeEventKind::HeadClosedBy { tag: "noscript-content".into() });
+                self.event(TreeEventKind::HeadClosedBy { by: Trigger::NoscriptContent });
                 self.open.pop();
                 self.mode = InsertionMode::InHead;
                 Ctl::Reprocess(other)
@@ -1014,7 +1015,7 @@ impl Builder {
                 if s.is_empty() {
                     return Ctl::Done;
                 }
-                self.create_body_implied(&describe_chars(&s));
+                self.create_body_implied(Trigger::text(&s));
                 Ctl::Reprocess(Token::Characters(s))
             }
             Token::Comment(c) => {
@@ -1052,7 +1053,7 @@ impl Builder {
                 | names::TEMPLATE
                 | names::TITLE => {
                     // Parse error: the element is put back inside head.
-                    self.event(TreeEventKind::LateHeadContent { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::LateHeadContent { tag: tag.name.clone() });
                     if let Some(head) = self.head {
                         self.open.push(&self.doc, head);
                         let ctl = self.in_head(token, tok);
@@ -1070,18 +1071,18 @@ impl Builder {
                     Ctl::Done
                 }
                 _ => {
-                    self.create_body_implied(&tag.name.clone());
+                    self.create_body_implied(Trigger::StartTag(tag.name.clone()));
                     Ctl::Reprocess(token)
                 }
             },
             Token::EndTag(ref tag) => match tag.name.id() {
                 names::TEMPLATE => self.in_head(token, tok),
                 names::BODY | names::HTML | names::BR => {
-                    self.create_body_implied(&format!("/{}", tag.name));
+                    self.create_body_implied(Trigger::EndTag(tag.name.clone()));
                     Ctl::Reprocess(token)
                 }
                 _ => {
-                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                     Ctl::Done
                 }
             },
@@ -1096,8 +1097,8 @@ impl Builder {
         }
     }
 
-    pub(crate) fn create_body_implied(&mut self, by: &str) {
-        self.event(TreeEventKind::ImplicitBody { by: by.to_owned() });
+    pub(crate) fn create_body_implied(&mut self, by: Trigger) {
+        self.event(TreeEventKind::ImplicitBody { by });
         self.unwind_to_html();
         let tag = Tag::named("body");
         self.insert_html(&tag);
@@ -1138,7 +1139,10 @@ impl Builder {
                 Ctl::Done
             }
             Token::Eof => {
-                let tag = self.current_name().unwrap_or("script").to_owned();
+                let tag = self
+                    .current()
+                    .and_then(|id| self.doc.element(id).map(|e| e.name.clone()))
+                    .unwrap_or(atom!("script"));
                 self.event(TreeEventKind::EofInTextContent { tag });
                 self.open.pop();
                 self.mode = self.orig_mode;
@@ -1233,7 +1237,7 @@ impl Builder {
                 }
                 names::NOFRAMES => self.in_head(token, tok),
                 _ => {
-                    self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayStartTag { tag: tag.name.clone() });
                     Ctl::Done
                 }
             },
@@ -1247,7 +1251,7 @@ impl Builder {
                 Ctl::Done
             }
             Token::EndTag(ref tag) => {
-                self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             Token::Eof => self.stop_parsing(),
@@ -1314,11 +1318,6 @@ pub(crate) fn split_off_leading_whitespace(s: &mut String) -> String {
             std::mem::replace(s, rest)
         }
     }
-}
-
-fn describe_chars(s: &str) -> String {
-    let head: String = s.chars().take(12).collect();
-    format!("#text:{head}")
 }
 
 /// DOCTYPE → quirks mode (simplified §13.2.6.4.1: the full legacy public-id

@@ -51,7 +51,7 @@ impl Builder {
                 }
                 names::COL => {
                     self.clear_to_table_context();
-                    self.event(TreeEventKind::TableStructureImplied { tag: "colgroup".into() });
+                    self.event(TreeEventKind::TableStructureImplied { tag: atom!("colgroup") });
                     let cg = Tag::named("colgroup");
                     self.insert_html(&cg);
                     self.mode = InsertionMode::InColumnGroup;
@@ -65,7 +65,7 @@ impl Builder {
                 }
                 names::TD | names::TH | names::TR => {
                     self.clear_to_table_context();
-                    self.event(TreeEventKind::TableStructureImplied { tag: "tbody".into() });
+                    self.event(TreeEventKind::TableStructureImplied { tag: atom!("tbody") });
                     let tb = Tag::named("tbody");
                     self.insert_html(&tb);
                     self.mode = InsertionMode::InTableBody;
@@ -73,7 +73,7 @@ impl Builder {
                 }
                 names::TABLE => {
                     // A table inside a table: close the current one first.
-                    self.event(TreeEventKind::StrayStartTag { tag: "table".into() });
+                    self.event(TreeEventKind::StrayStartTag { tag: atom!("table") });
                     if self.open.in_table_scope(&atom!("table")) {
                         self.open.pop_through(&atom!("table"));
                         self.reset_insertion_mode();
@@ -88,7 +88,7 @@ impl Builder {
                         .map(|t| t.eq_ignore_ascii_case("hidden"))
                         .unwrap_or(false);
                     if hidden {
-                        self.event(TreeEventKind::TableStructureImplied { tag: "input".into() });
+                        self.event(TreeEventKind::TableStructureImplied { tag: atom!("input") });
                         self.insert_void(tag);
                         Ctl::Done
                     } else {
@@ -96,7 +96,7 @@ impl Builder {
                     }
                 }
                 names::FORM => {
-                    self.event(TreeEventKind::StrayStartTag { tag: "form".into() });
+                    self.event(TreeEventKind::StrayStartTag { tag: atom!("form") });
                     if !self.open.has_element(&atom!("template")) && self.form.is_none() {
                         let id = self.insert_html(tag);
                         self.form = Some(id);
@@ -109,7 +109,7 @@ impl Builder {
             Token::EndTag(ref tag) => match tag.name.id() {
                 names::TABLE => {
                     if !self.open.in_table_scope(&atom!("table")) {
-                        self.event(TreeEventKind::StrayEndTag { tag: "table".into() });
+                        self.event(TreeEventKind::StrayEndTag { tag: atom!("table") });
                         return Ctl::Done;
                     }
                     self.open.pop_through(&atom!("table"));
@@ -127,7 +127,7 @@ impl Builder {
                 | names::TH
                 | names::THEAD
                 | names::TR => {
-                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                     Ctl::Done
                 }
                 names::TEMPLATE => self.in_head(token, tok),
@@ -197,7 +197,7 @@ impl Builder {
                         | names::TR
                 ) =>
             {
-                self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayStartTag { tag: tag.name.clone() });
                 if self.open.in_table_scope(&atom!("caption")) {
                     self.close_caption();
                     return Ctl::Reprocess(token);
@@ -209,7 +209,7 @@ impl Builder {
                     self.close_caption();
                     return Ctl::Reprocess(token);
                 }
-                self.event(TreeEventKind::StrayEndTag { tag: "table".into() });
+                self.event(TreeEventKind::StrayEndTag { tag: atom!("table") });
                 Ctl::Done
             }
             Token::EndTag(ref tag)
@@ -227,7 +227,7 @@ impl Builder {
                         | names::TR
                 ) =>
             {
-                self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             other => self.in_body(other, tok),
@@ -236,7 +236,7 @@ impl Builder {
 
     fn close_caption(&mut self) {
         if !self.open.in_table_scope(&atom!("caption")) {
-            self.event(TreeEventKind::StrayEndTag { tag: "caption".into() });
+            self.event(TreeEventKind::StrayEndTag { tag: atom!("caption") });
             return;
         }
         self.generate_implied_end_tags(None);
@@ -276,12 +276,12 @@ impl Builder {
                     self.open.pop();
                     self.mode = InsertionMode::InTable;
                 } else {
-                    self.event(TreeEventKind::StrayEndTag { tag: "colgroup".into() });
+                    self.event(TreeEventKind::StrayEndTag { tag: atom!("colgroup") });
                 }
                 Ctl::Done
             }
             Token::EndTag(ref tag) if tag.name == "col" => {
-                self.event(TreeEventKind::StrayEndTag { tag: "col".into() });
+                self.event(TreeEventKind::StrayEndTag { tag: atom!("col") });
                 Ctl::Done
             }
             Token::StartTag(ref tag) if tag.name == "template" => self.in_head(token, tok),
@@ -297,7 +297,7 @@ impl Builder {
             self.mode = InsertionMode::InTable;
             Ctl::Reprocess(token)
         } else {
-            self.event(TreeEventKind::StrayStartTag { tag: "#colgroup-content".into() });
+            self.event(TreeEventKind::StrayStartTag { tag: Atom::from_name("#colgroup-content") });
             Ctl::Done
         }
     }
@@ -311,7 +311,7 @@ impl Builder {
                 Ctl::Done
             }
             Token::StartTag(ref tag) if matches!(tag.name.id(), names::TH | names::TD) => {
-                self.event(TreeEventKind::TableStructureImplied { tag: "tr".into() });
+                self.event(TreeEventKind::TableStructureImplied { tag: atom!("tr") });
                 self.clear_to_table_body_context();
                 let tr = Tag::named("tr");
                 self.insert_html(&tr);
@@ -322,7 +322,7 @@ impl Builder {
                 if matches!(tag.name.id(), names::TBODY | names::TFOOT | names::THEAD) =>
             {
                 if !self.open.in_table_scope(&tag.name) {
-                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                     return Ctl::Done;
                 }
                 self.clear_to_table_body_context();
@@ -347,7 +347,7 @@ impl Builder {
                     self.mode = InsertionMode::InTable;
                     return Ctl::Reprocess(token);
                 }
-                self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayStartTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             Token::EndTag(ref tag) if tag.name == "table" => {
@@ -357,7 +357,7 @@ impl Builder {
                     self.mode = InsertionMode::InTable;
                     return Ctl::Reprocess(token);
                 }
-                self.event(TreeEventKind::StrayEndTag { tag: "table".into() });
+                self.event(TreeEventKind::StrayEndTag { tag: atom!("table") });
                 Ctl::Done
             }
             Token::EndTag(ref tag)
@@ -373,7 +373,7 @@ impl Builder {
                         | names::TR
                 ) =>
             {
-                self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             other => self.in_table(other, tok),
@@ -391,7 +391,7 @@ impl Builder {
             }
             Token::EndTag(ref tag) if tag.name == "tr" => {
                 if !self.open.in_table_scope(&atom!("tr")) {
-                    self.event(TreeEventKind::StrayEndTag { tag: "tr".into() });
+                    self.event(TreeEventKind::StrayEndTag { tag: atom!("tr") });
                     return Ctl::Done;
                 }
                 self.clear_to_table_row_context();
@@ -417,7 +417,7 @@ impl Builder {
                     self.mode = InsertionMode::InTableBody;
                     return Ctl::Reprocess(token);
                 }
-                self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayStartTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             Token::EndTag(ref tag) if tag.name == "table" => {
@@ -427,14 +427,14 @@ impl Builder {
                     self.mode = InsertionMode::InTableBody;
                     return Ctl::Reprocess(token);
                 }
-                self.event(TreeEventKind::StrayEndTag { tag: "table".into() });
+                self.event(TreeEventKind::StrayEndTag { tag: atom!("table") });
                 Ctl::Done
             }
             Token::EndTag(ref tag)
                 if matches!(tag.name.id(), names::TBODY | names::TFOOT | names::THEAD) =>
             {
                 if !self.open.in_table_scope(&tag.name) {
-                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                     return Ctl::Done;
                 }
                 if self.open.in_table_scope(&atom!("tr")) {
@@ -457,7 +457,7 @@ impl Builder {
                         | names::TH
                 ) =>
             {
-                self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             other => self.in_table(other, tok),
@@ -468,12 +468,12 @@ impl Builder {
         match token {
             Token::EndTag(ref tag) if matches!(tag.name.id(), names::TD | names::TH) => {
                 if !self.open.in_table_scope(&tag.name) {
-                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                     return Ctl::Done;
                 }
                 self.generate_implied_end_tags(None);
                 if !self.current_is_html(&tag.name) {
-                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                 }
                 self.open.pop_through(&tag.name);
                 super::formatting::clear_to_marker(&mut self.formatting);
@@ -498,7 +498,7 @@ impl Builder {
                     self.close_cell();
                     return Ctl::Reprocess(token);
                 }
-                self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayStartTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             Token::EndTag(ref tag)
@@ -507,7 +507,7 @@ impl Builder {
                     names::BODY | names::CAPTION | names::COL | names::COLGROUP | names::HTML
                 ) =>
             {
-                self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             Token::EndTag(ref tag)
@@ -520,7 +520,7 @@ impl Builder {
                     self.close_cell();
                     return Ctl::Reprocess(token);
                 }
-                self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                 Ctl::Done
             }
             other => self.in_body(other, tok),
@@ -579,7 +579,7 @@ impl Builder {
                 }
                 names::SELECT => {
                     // <select> inside <select> acts like </select>.
-                    self.event(TreeEventKind::StrayStartTag { tag: "select".into() });
+                    self.event(TreeEventKind::StrayStartTag { tag: atom!("select") });
                     if self.open.in_select_scope(&atom!("select")) {
                         self.open.pop_through(&atom!("select"));
                         self.reset_insertion_mode();
@@ -587,7 +587,7 @@ impl Builder {
                     Ctl::Done
                 }
                 names::INPUT | names::KEYGEN | names::TEXTAREA => {
-                    self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayStartTag { tag: tag.name.clone() });
                     if self.open.in_select_scope(&atom!("select")) {
                         self.open.pop_through(&atom!("select"));
                         self.reset_insertion_mode();
@@ -597,7 +597,7 @@ impl Builder {
                 }
                 names::SCRIPT | names::TEMPLATE => self.in_head(token, tok),
                 _ => {
-                    self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayStartTag { tag: tag.name.clone() });
                     Ctl::Done
                 }
             },
@@ -613,7 +613,7 @@ impl Builder {
                     if self.current_is_html("optgroup") {
                         self.open.pop();
                     } else {
-                        self.event(TreeEventKind::StrayEndTag { tag: "optgroup".into() });
+                        self.event(TreeEventKind::StrayEndTag { tag: atom!("optgroup") });
                     }
                     Ctl::Done
                 }
@@ -621,13 +621,13 @@ impl Builder {
                     if self.current_is_html("option") {
                         self.open.pop();
                     } else {
-                        self.event(TreeEventKind::StrayEndTag { tag: "option".into() });
+                        self.event(TreeEventKind::StrayEndTag { tag: atom!("option") });
                     }
                     Ctl::Done
                 }
                 names::SELECT => {
                     if !self.open.in_select_scope(&atom!("select")) {
-                        self.event(TreeEventKind::StrayEndTag { tag: "select".into() });
+                        self.event(TreeEventKind::StrayEndTag { tag: atom!("select") });
                         return Ctl::Done;
                     }
                     self.open.pop_through(&atom!("select"));
@@ -636,7 +636,7 @@ impl Builder {
                 }
                 names::TEMPLATE => self.in_head(token, tok),
                 _ => {
-                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                    self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                     Ctl::Done
                 }
             },
@@ -659,7 +659,7 @@ impl Builder {
                         | names::TH
                 ) =>
             {
-                self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayStartTag { tag: tag.name.clone() });
                 self.close_select();
                 Ctl::Reprocess(token)
             }
@@ -676,7 +676,7 @@ impl Builder {
                         | names::TH
                 ) =>
             {
-                self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
+                self.event(TreeEventKind::StrayEndTag { tag: tag.name.clone() });
                 if self.open.in_table_scope(&tag.name) {
                     self.close_select();
                     return Ctl::Reprocess(token);

@@ -170,7 +170,10 @@ fn elements_hold_their_start_tag_attribute_range() {
 #[test]
 fn hf1_div_in_head_closes_head() {
     let out = parse_doc("<html><head><div>oops</div><meta charset=x></head><body></body></html>");
-    assert!(has_event(&out, |k| matches!(k, TreeEventKind::HeadClosedBy { tag } if tag == "div")));
+    assert!(has_event(
+        &out,
+        |k| matches!(k, TreeEventKind::HeadClosedBy { by: Trigger::StartTag(t) } if *t == "div")
+    ));
     // The meta after the div ends up in the body, not the head.
     let head = out.dom.find_html("head").unwrap();
     let metas_in_head = out.dom.descendants(head).filter(|&id| out.dom.is_html(id, "meta")).count();
@@ -217,8 +220,8 @@ fn hf3_second_body_merges_attributes() {
     assert!(has_event(&out, |k| matches!(
         k,
         TreeEventKind::SecondBodyMerged { new_attrs, ignored_attrs }
-            if new_attrs.contains(&"id".to_string())
-                && ignored_attrs.contains(&"onload".to_string())
+            if new_attrs.contains(&atom!("id"))
+                && ignored_attrs.contains(&atom!("onload"))
     )));
 }
 

@@ -4,12 +4,13 @@
 //! trigger exactly that rule) and a negative fixture (a near-miss that must
 //! not). On top of the matrix, the fused dispatch engine is checked to be
 //! *report-identical* to the pre-fusion per-rule scans
-//! (`hv_fuzz::reference::checkers`) — on every fixture and on
-//! property-generated HTML soup.
+//! (`hv_fuzz::reference::checkers`) — on every fixture, on the edges of
+//! the element pass's skip, and on property-generated HTML soup.
 
 use html_violations::hv_core::CheckContext;
 use html_violations::hv_fuzz::reference::checkers as legacy;
 use html_violations::prelude::*;
+use html_violations::spec_html::{tags, Atom};
 use proptest::prelude::*;
 
 /// (kind, fires-on, must-not-fire-on). Negatives are near-misses for the
@@ -164,6 +165,110 @@ fn fused_engine_is_report_identical_to_legacy_on_fixtures() {
     }
 }
 
+/// The same report, mitigation flags and math usage from the fused engine
+/// and from the pre-fusion scans.
+fn assert_matches_legacy(battery: &mut Battery, cx: &CheckContext<'_>, what: &str) {
+    let fused = battery.run(cx);
+    let old = legacy::run(cx);
+    assert_eq!(fused.findings, old.findings, "{what}");
+    assert_eq!(fused.mitigations, old.mitigations, "{what}");
+    assert_eq!(fused.uses_math, old.uses_math, "{what}");
+}
+
+/// Pages at the edges of the element pass's skip, which trusts the start
+/// tags to name every `meta`, `base`, `math` and foreign-only element of
+/// the tree: a tag the tree builder renames (`<image>` becomes `img`),
+/// declared names the tree never holds (content a frameset leaves out), a
+/// foreign-only name outside SVG, and `base` and `meta` inside SVG.
+const SKIP_EDGES: &[&str] = &[
+    "<body><image src=x><p>after",
+    "<svg><image href=x></svg><base href=y>",
+    "<html><head></head><frameset><math></math><base href=x><meta http-equiv=a></frameset>",
+    "<body><math><mi>x</mi></math><base href=x><meta http-equiv=a><frameset><frame>",
+    "<head></head><frameset></frameset><math><base href=x><meta http-equiv=y>",
+    "<body><clippath></clippath><p><clippath>",
+    "<body><svg><clippath><path></path></clippath></svg>",
+    "<body><svg><base href=x><meta http-equiv=y></svg><base href=z>",
+    "<body><svg><meta http-equiv=y><foreignObject><meta http-equiv=z><base>",
+];
+
+/// Fragment bodies for the `div`, `svg` and `math` contexts.
+const FRAGMENT_EDGES: &[&str] = &[
+    "<math><mi>x</mi></math><base href=x><meta http-equiv=a><path>",
+    "<mi>x</mi><p><base><img src=y><base href=z>",
+    "<clippath><meta http-equiv=r><div><math>",
+    "<a href=x>l</a><base href=y><mtext><svg><base>",
+];
+
+#[test]
+fn element_pass_skip_edges_match_legacy() {
+    let mut battery = Battery::full();
+    for page in SKIP_EDGES {
+        assert_matches_legacy(&mut battery, &CheckContext::new(page), page);
+    }
+    for context in ["div", "svg", "math"] {
+        for page in FRAGMENT_EDGES {
+            let cx = CheckContext::fragment(page, context);
+            assert_matches_legacy(&mut battery, &cx, &format!("{page} in <{context}>"));
+        }
+    }
+}
+
+/// Names the tree builder gives elements that no start tag of that name
+/// asked for: implied elements and `img` for `<image>`. Re-created
+/// formatting elements copy an earlier tag's name, and inside SVG an
+/// element takes the camelCase spelling of its tag's name.
+const BUILT_NAMES: &[&str] = &["html", "head", "body", "tbody", "tr", "colgroup", "p", "br", "img"];
+
+/// Whether `name` is the camelCase SVG spelling of a lowercase tag name.
+fn svg_spelling(name: &str) -> bool {
+    tags::svg_tag_fixup(&name.to_ascii_lowercase()) == Some(name)
+}
+
+/// The names the battery declares (the DOM rules' report names and
+/// `math`) are never built, so the page's tag names cover them.
+#[test]
+fn built_names_are_never_declared() {
+    let declared = |name: &str| {
+        let atom = Atom::from_name(name);
+        name == "math"
+            || html_violations::hv_core::checkers::all_checks().iter().any(|c| c.reports_at(&atom))
+    };
+    for name in BUILT_NAMES {
+        assert!(!declared(name), "{name}");
+    }
+    for name in html_violations::spec_html::atoms::STATIC_ATOMS {
+        assert!(!(svg_spelling(name) && declared(name)), "{name}");
+    }
+}
+
+/// Every element of the tree is named by one of the page's start tags,
+/// unless the tree builder made it up ([`BUILT_NAMES`], SVG spellings).
+fn assert_tree_names_are_tagged(cx: &CheckContext<'_>, what: &str) {
+    let dom = &cx.parse.dom;
+    for id in dom.all_elements() {
+        let name = &dom.element(id).expect("an element").name;
+        let tagged = name.static_id().is_none() || cx.tag_names().contains(name);
+        assert!(
+            tagged || BUILT_NAMES.contains(&name.as_str()) || svg_spelling(name),
+            "<{name}> has no start tag in {what}"
+        );
+    }
+}
+
+#[test]
+fn tree_names_are_tagged_on_fixtures() {
+    let matrix = MATRIX.iter().flat_map(|(_, positive, negative)| [*positive, *negative]);
+    for page in matrix.chain(SKIP_EDGES.iter().copied()) {
+        assert_tree_names_are_tagged(&CheckContext::new(page), page);
+    }
+    for page in FRAGMENT_EDGES {
+        for context in ["div", "svg", "math"] {
+            assert_tree_names_are_tagged(&CheckContext::fragment(page, context), page);
+        }
+    }
+}
+
 /// HTML-ish soup: same generator shape as tests/properties.rs, biased
 /// toward the constructs the rules inspect.
 fn html_soup() -> impl Strategy<Value = String> {
@@ -192,6 +297,10 @@ fn html_soup() -> impl Strategy<Value = String> {
         Just("<svg>".to_owned()),
         Just("<math><mtext>".to_owned()),
         Just("<path>".to_owned()),
+        Just("<image>".to_owned()),
+        Just("<b><i>".to_owned()),
+        Just("</p>".to_owned()),
+        Just("<frameset>".to_owned()),
         Just("<div".to_owned()),
         Just("/".to_owned()),
         "[a-z =]{0,10}".prop_map(|s| s),
@@ -211,5 +320,7 @@ proptest! {
         let old = legacy::run(&cx);
         prop_assert_eq!(&fused.findings, &old.findings);
         prop_assert_eq!(fused.mitigations, old.mitigations);
+        prop_assert_eq!(fused.uses_math, old.uses_math);
+        assert_tree_names_are_tagged(&cx, &input);
     }
 }
