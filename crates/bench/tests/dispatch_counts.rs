@@ -45,7 +45,7 @@ fn formatting_page_makes_no_element_dispatches() {
 /// Typical pages keep the walk (they carry `<meta>`), but each element
 /// goes only to the rules that report at its name.
 #[test]
-fn typical_pages_dispatch_far_fewer_than_five_per_element() {
+fn typical_pages_dispatch_within_ceiling() {
     let pages = sample_pages(64);
     let mut battery = Battery::full();
     let mut stats = battery.new_stats();
@@ -58,9 +58,18 @@ fn typical_pages_dispatch_far_fewer_than_five_per_element() {
     let dispatches = element_dispatches(&stats, pages.len() as u64);
     let per_page = |n: u64| n as f64 / pages.len() as f64;
     eprintln!(
-        "typical (64 sample pages): {:.1} elements, {:.1} element dispatches per page",
+        "typical (64 sample pages): {:.1} elements, {:.1} element dispatches per page \
+         ({dispatches} for {elements} elements in all)",
         per_page(elements),
         per_page(dispatches)
     );
-    assert!(dispatches < elements, "{dispatches} dispatches for {elements} elements");
+    assert!(
+        dispatches <= TYPICAL_DISPATCH_CEILING,
+        "typical element dispatches regressed: {dispatches} > {TYPICAL_DISPATCH_CEILING}"
+    );
 }
+
+// Ceiling = measurement + 15%, over the 64 sample pages; the 2,666
+// elements made 13,330 dispatches when every element went to all five
+// DOM rules.
+const TYPICAL_DISPATCH_CEILING: u64 = 222; // measured 193

@@ -17,16 +17,17 @@
 //!
 //! The element pass is dispatched on names. One table maps each static
 //! atom to the DOM rules that report at that name
-//! ([`Check::reports_at`]) and to §4.2's math count
+//! ([`Check::report_names`]) and to §4.2's math count
 //! ([`PageReport::uses_math`]), so an element no rule reads costs one
 //! table load. A rule takes part in a page's walk only if the page's start
 //! tags name one of its report names ([`CheckContext::tag_names`]), and
 //! the walk is skipped when no rule takes part and no `<math>` tag
 //! occurs. DM2.3 also reads every element until its first URL-using one
-//! ([`Check::reads_every_element`]). Findings are sorted by `(kind, offset)` at the end;
-//! since every kind belongs to exactly one rule and each rule sees its
-//! items in the same source order the pre-fusion per-rule scans used, the
-//! output is byte-identical to theirs (kept as `hv_fuzz::reference::checkers`).
+//! ([`Check::reads_every_element`]). Findings are sorted by
+//! `(kind, offset)` at the end; since every kind belongs to exactly one
+//! rule and each rule sees its items in the same source order the
+//! pre-fusion per-rule scans used, the output is byte-identical to theirs
+//! (kept as `hv_fuzz::reference::checkers`).
 //!
 //! The battery also carries the observability hooks of the page-granular
 //! scan engine: [`Battery::run_instrumented`] times each rule and feeds
@@ -149,10 +150,8 @@ impl Battery {
                 .map(|(i, _)| i)
                 .collect()
         };
-        let dom_rules: Vec<(usize, StaticAtomSet)> = table(Interest::DOM)
-            .into_iter()
-            .map(|i| (i, StaticAtomSet::build(|name| checks[i].reports_at(name))))
-            .collect();
+        let dom_rules: Vec<(usize, StaticAtomSet)> =
+            table(Interest::DOM).into_iter().map(|i| (i, checks[i].report_names())).collect();
         let element_table = static_atoms()
             .map(|atom| {
                 let math = if atom == MATH { MATH_BIT } else { 0 };
@@ -655,28 +654,33 @@ mod tests {
         assert_eq!(stats.get(ViolationKind::DM1).unwrap().dispatches, 0);
     }
 
-    /// The walk hands each DOM rule the elements of its names, DM2.3 also
-    /// every element up to the first URL-using one, and nothing to a rule
-    /// whose names the page's tags lack.
+    /// The walk hands each DOM rule the elements of its names, in either
+    /// namespace, DM2.3 also every element up to the first URL-using one,
+    /// and nothing to a rule whose names the page's tags lack.
     #[test]
     fn dom_rules_are_handed_only_their_elements() {
         let mut battery = Battery::full();
+        // The second `<svg>` child is an SVG `base` (a `meta` there would
+        // break out of the SVG), and `rect` inside it is SVG too.
         let page = "<head><meta charset=x><title>t</title></head><body><p>a<div><base href=b>\
-                    <img src=c><path><base><svg><meta><rect></svg><meta http-equiv=d>";
+                    <img src=c><path><base><svg><base><rect></svg><meta http-equiv=d>";
         let mut stats = battery.new_stats();
         let report = battery.run_instrumented(&CheckContext::new(page), &mut stats).clone();
         let dispatches = |kind| stats.get(kind).unwrap().dispatches;
-        // Three metas, one of them in SVG; two HTML bases.
-        assert_eq!(dispatches(ViolationKind::DM1), 3);
-        assert_eq!(dispatches(ViolationKind::DM2_1), 2);
-        assert_eq!(dispatches(ViolationKind::DM2_2), 2 + 1, "two bases and the finish call");
+        let found = |kind| report.findings.iter().filter(|f| f.kind == kind).count();
+        // Two metas; the one in the body reports.
+        assert_eq!((dispatches(ViolationKind::DM1), found(ViolationKind::DM1)), (2, 1));
+        // Two HTML bases, both in the body, and the SVG one.
+        assert_eq!((dispatches(ViolationKind::DM2_1), found(ViolationKind::DM2_1)), (3, 2));
+        assert_eq!(dispatches(ViolationKind::DM2_2), 3 + 1, "three bases and the finish call");
+        assert_eq!(found(ViolationKind::DM2_2), 1);
         // html, head, meta, title, body, p, div, base, img (the first with
-        // a URL attribute), then only the second base.
-        assert_eq!(dispatches(ViolationKind::DM2_3), 9 + 1);
+        // a URL attribute), then only the other two bases; the HTML one
+        // reports.
+        assert_eq!((dispatches(ViolationKind::DM2_3), found(ViolationKind::DM2_3)), (9 + 2, 1));
         // `path` and `rect` are foreign-only names: the rule gets both and
-        // ignores `rect`, which sits in the SVG namespace.
-        assert_eq!(dispatches(ViolationKind::HF5_1), 2);
-        assert!(report.has(ViolationKind::DM2_1) && report.has(ViolationKind::HF5_1));
+        // reports only `path`, since `rect` sits in the SVG namespace.
+        assert_eq!((dispatches(ViolationKind::HF5_1), found(ViolationKind::HF5_1)), (2, 1));
 
         let mut stats = battery.new_stats();
         battery.run_instrumented(&CheckContext::new("<p>x<b>y<table><td>z"), &mut stats);
@@ -688,8 +692,8 @@ mod tests {
         assert_eq!(stats.get(ViolationKind::DM2_2).unwrap().dispatches, 1, "the finish call");
     }
 
-    /// Every static atom maps to exactly the DOM rules whose
-    /// `reports_at` holds for it, plus the math bit for `math`.
+    /// Every static atom maps to exactly the DOM rules whose report names
+    /// hold it, plus the math bit for `math`.
     #[test]
     fn element_table_maps_every_static_atom_to_its_rules() {
         for battery in [Battery::full(), Battery::only(&[ViolationKind::DM2_3, ViolationKind::FB1])]
@@ -697,27 +701,12 @@ mod tests {
             for atom in static_atoms() {
                 let mut want = if atom == "math" { MATH_BIT } else { 0 };
                 for (i, c) in battery.checks.iter().enumerate() {
-                    if c.interest().contains(Interest::DOM) && c.reports_at(&atom) {
+                    if c.interest().contains(Interest::DOM) && c.report_names().contains(&atom) {
                         want |= 1 << i;
                     }
                 }
                 let id = atom.static_id().expect("a static atom");
                 assert_eq!(battery.element_table[id], want, "{atom:?}");
-            }
-        }
-    }
-
-    /// Every name a DOM rule reports at is a static atom, so the page's
-    /// summary of static tag names can answer for it.
-    #[test]
-    fn report_names_are_static_atoms() {
-        let declared = ["meta", "base", "math"].iter().chain(spec_html::tags::SVG_ONLY);
-        for name in declared.chain(spec_html::tags::MATHML_ONLY) {
-            assert!(Atom::from_name(name).static_id().is_some(), "{name}");
-        }
-        for c in checkers::all_checks() {
-            for name in ["x-widget", "meta-x", "clip-path", "#text"] {
-                assert!(!c.reports_at(&Atom::from_name(name)), "{} at {name}", c.kind());
             }
         }
     }

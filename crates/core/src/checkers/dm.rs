@@ -6,7 +6,7 @@ use crate::report::Finding;
 use crate::taxonomy::ViolationKind;
 use spec_html::dom::{Element, NodeId};
 use spec_html::errors::ParseError;
-use spec_html::{tags, Atom, ErrorCode, Namespace};
+use spec_html::{tags, Atom, ErrorCode, Namespace, StaticAtomSet};
 
 // Names compare as static atoms (an integer compare), not as strings.
 const BASE: Atom = Atom::known("base");
@@ -43,8 +43,8 @@ impl Check for Dm1 {
         Interest::DOM
     }
 
-    fn reports_at(&self, name: &Atom) -> bool {
-        *name == META
+    fn report_names(&self) -> StaticAtomSet {
+        StaticAtomSet::of(&[META])
     }
 
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {
@@ -75,8 +75,8 @@ impl Check for Dm2_1 {
         Interest::DOM
     }
 
-    fn reports_at(&self, name: &Atom) -> bool {
-        *name == BASE
+    fn report_names(&self) -> StaticAtomSet {
+        StaticAtomSet::of(&[BASE])
     }
 
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {
@@ -107,8 +107,8 @@ impl Check for Dm2_2 {
         self.bases = 0;
     }
 
-    fn reports_at(&self, name: &Atom) -> bool {
-        *name == BASE
+    fn report_names(&self) -> StaticAtomSet {
+        StaticAtomSet::of(&[BASE])
     }
 
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, _out: &mut Vec<Finding>) {
@@ -150,8 +150,8 @@ impl Check for Dm2_3 {
         self.seen_url_element = None;
     }
 
-    fn reports_at(&self, name: &Atom) -> bool {
-        *name == BASE
+    fn report_names(&self) -> StaticAtomSet {
+        StaticAtomSet::of(&[BASE])
     }
 
     /// Until the first URL-using element, any element may be it.

@@ -6,7 +6,7 @@ use crate::report::Finding;
 use crate::taxonomy::ViolationKind;
 use spec_html::dom::{Namespace, NodeId};
 use spec_html::tokenizer::Tag;
-use spec_html::{tags, Atom, TreeEvent, TreeEventKind};
+use spec_html::{tags, Atom, StaticAtomSet, TreeEvent, TreeEventKind};
 
 const BODY: Atom = Atom::known("body");
 
@@ -191,6 +191,11 @@ impl Check for Hf4 {
 /// `<svg>` root, or left behind after a premature close).
 pub struct Hf5_1;
 
+/// Whether `name` exists only in SVG or only in MathML.
+fn is_foreign_only(name: &Atom) -> bool {
+    tags::is_svg_only_atom(name) || tags::is_mathml_only_atom(name)
+}
+
 impl Check for Hf5_1 {
     fn kind(&self) -> ViolationKind {
         ViolationKind::HF5_1
@@ -200,13 +205,13 @@ impl Check for Hf5_1 {
         Interest::DOM
     }
 
-    fn reports_at(&self, name: &Atom) -> bool {
-        tags::is_svg_only_atom(name) || tags::is_mathml_only_atom(name)
+    fn report_names(&self) -> StaticAtomSet {
+        StaticAtomSet::build(is_foreign_only)
     }
 
     fn on_node(&mut self, cx: &CheckContext<'_>, id: NodeId, out: &mut Vec<Finding>) {
         let Some(e) = cx.parse.dom.element(id) else { return };
-        if e.ns == Namespace::Html && self.reports_at(&e.name) {
+        if e.ns == Namespace::Html && is_foreign_only(&e.name) {
             out.push(Finding::new(
                 ViolationKind::HF5_1,
                 e.src_offset,

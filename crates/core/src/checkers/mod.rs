@@ -7,10 +7,11 @@
 //! makes one fused pass over the page (parse errors → tree events → start
 //! tags → DOM pre-order walk → finish), dispatching every item only to the
 //! rules that asked for it. A DOM rule also names the elements it can
-//! report at ([`Check::reports_at`]), so the walk hands it only those and
-//! runs only on pages whose start tags name one. Rules that need cross-event state (DE1/DE2's
-//! EOF stack, HF2's head-close correlation, HF3's body counting) keep it
-//! in small per-check accumulators, reset per page.
+//! report at ([`Check::report_names`]), so the walk hands it only those
+//! and runs only on pages whose start tags name one. Rules that need
+//! cross-event state (DE1/DE2's EOF stack, HF2's head-close correlation,
+//! HF3's body counting) keep it in small per-check accumulators, reset per
+//! page.
 //!
 //! The pre-fusion implementation — twenty independent full-context scans —
 //! lives on outside the production crates, as `hv_fuzz::reference::checkers`:
@@ -31,8 +32,8 @@ use spec_html::dom::NodeId;
 use spec_html::errors::ParseError;
 use spec_html::tags;
 use spec_html::tokenizer::{Attr, Tag};
-use spec_html::Atom;
 use spec_html::TreeEvent;
+use spec_html::{Atom, StaticAtomSet};
 
 /// Bitmask of the dispatch sources a rule wants to see. The battery skips
 /// a rule entirely for every source it did not ask for — and skips whole
@@ -50,7 +51,7 @@ impl Interest {
     /// Checker-relevant start tags, in source order.
     pub const START_TAGS: Interest = Interest(1 << 2);
     /// The shared pre-order DOM element walk, for the elements named in
-    /// [`Check::reports_at`].
+    /// [`Check::report_names`].
     pub const DOM: Interest = Interest(1 << 3);
     /// One [`Check::finish`] call after all passes.
     pub const FINISH: Interest = Interest(1 << 4);
@@ -115,14 +116,13 @@ pub trait Check: Send + Sync {
         let _ = (cx, id, out);
     }
 
-    /// For a rule with [`Interest::DOM`]: whether it can report at an
-    /// element named `name`. The walk hands the rule the elements of these
-    /// names, and the battery runs the rule's walk only on pages whose
-    /// start tags name one ([`CheckContext::tag_names`]). Every such name
-    /// must be a static atom, since that summary holds no other.
-    fn reports_at(&self, name: &Atom) -> bool {
-        let _ = name;
-        false
+    /// For a rule with [`Interest::DOM`]: the element names it can report
+    /// at. The walk hands the rule the elements of these names, and the
+    /// battery runs the rule's walk only on pages whose start tags name
+    /// one ([`CheckContext::tag_names`]). Read once, when the battery is
+    /// built.
+    fn report_names(&self) -> StaticAtomSet {
+        StaticAtomSet::new()
     }
 
     /// For a rule with [`Interest::DOM`]: whether it still reads every

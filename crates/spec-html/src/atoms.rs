@@ -440,6 +440,15 @@ impl StaticAtomSet {
         StaticAtomSet([0; SET_WORDS])
     }
 
+    /// The set of `atoms`, less any dynamic one.
+    pub fn of(atoms: &[Atom]) -> StaticAtomSet {
+        let mut set = StaticAtomSet::new();
+        for atom in atoms {
+            set.insert(atom);
+        }
+        set
+    }
+
     /// The static atoms that satisfy `pred`.
     pub fn build(pred: impl Fn(&Atom) -> bool) -> StaticAtomSet {
         let mut set = StaticAtomSet::new();
@@ -761,6 +770,7 @@ mod tests {
         assert!(!set.contains(&custom) && !set.contains(&atom!("base")));
         assert_eq!(static_atoms().filter(|a| set.contains(a)).count(), 2);
         let base = StaticAtomSet::build(|a| *a == "base");
+        assert_eq!(StaticAtomSet::of(&[atom!("base"), custom]), base);
         assert!(!set.intersects(&base));
         set.insert(&atom!("base"));
         assert!(set.intersects(&base));

@@ -468,70 +468,66 @@ pub fn is_svg_html_integration(name: &str) -> bool {
 /// Element names that exist only in the SVG namespace (used by the HF5_1
 /// checker to spot foreign-only elements parsed as HTML).
 pub fn is_svg_only(name: &str) -> bool {
-    SVG_ONLY.contains(&name)
+    matches!(
+        name,
+        "circle"
+            | "clippath"
+            | "defs"
+            | "ellipse"
+            | "fegaussianblur"
+            | "filter"
+            | "g"
+            | "lineargradient"
+            | "marker"
+            | "mask"
+            | "path"
+            | "pattern"
+            | "polygon"
+            | "polyline"
+            | "radialgradient"
+            | "rect"
+            | "stop"
+            | "symbol"
+            | "tspan"
+            | "use"
+    )
 }
-
-/// The names [`is_svg_only`] accepts, lowercase as tokenized.
-pub const SVG_ONLY: &[&str] = &[
-    "circle",
-    "clippath",
-    "defs",
-    "ellipse",
-    "fegaussianblur",
-    "filter",
-    "g",
-    "lineargradient",
-    "marker",
-    "mask",
-    "path",
-    "pattern",
-    "polygon",
-    "polyline",
-    "radialgradient",
-    "rect",
-    "stop",
-    "symbol",
-    "tspan",
-    "use",
-];
 
 /// Element names that exist only in the MathML namespace.
 pub fn is_mathml_only(name: &str) -> bool {
-    MATHML_ONLY.contains(&name)
+    matches!(
+        name,
+        "annotation"
+            | "annotation-xml"
+            | "maction"
+            | "merror"
+            | "mfrac"
+            | "mglyph"
+            | "mi"
+            | "mmultiscripts"
+            | "mn"
+            | "mo"
+            | "mover"
+            | "mpadded"
+            | "mphantom"
+            | "mroot"
+            | "mrow"
+            | "ms"
+            | "mspace"
+            | "msqrt"
+            | "mstyle"
+            | "msub"
+            | "msubsup"
+            | "msup"
+            | "mtable"
+            | "mtd"
+            | "mtext"
+            | "mtr"
+            | "munder"
+            | "munderover"
+            | "semantics"
+    )
 }
-
-/// The names [`is_mathml_only`] accepts.
-pub const MATHML_ONLY: &[&str] = &[
-    "annotation",
-    "annotation-xml",
-    "maction",
-    "merror",
-    "mfrac",
-    "mglyph",
-    "mi",
-    "mmultiscripts",
-    "mn",
-    "mo",
-    "mover",
-    "mpadded",
-    "mphantom",
-    "mroot",
-    "mrow",
-    "ms",
-    "mspace",
-    "msqrt",
-    "mstyle",
-    "msub",
-    "msubsup",
-    "msup",
-    "mtable",
-    "mtd",
-    "mtext",
-    "mtr",
-    "munder",
-    "munderover",
-    "semantics",
-];
 
 /// The SVG camelCase tag-name fixups of §13.2.6.5 ("Any other start tag" in
 /// foreign content): the tokenizer lowercases names; inside SVG the parser
