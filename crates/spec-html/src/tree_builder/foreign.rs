@@ -152,9 +152,6 @@ impl Builder {
                         return Ctl::Done;
                     }
                 }
-                // Walk the stack from the current node looking for a
-                // case-insensitive match; an HTML element hands over to the
-                // HTML rules.
                 if let Some((_, cur_name)) = self.adjusted_current() {
                     // The end tag name is already lowercased, so a
                     // case-insensitive compare matches the old
@@ -163,21 +160,19 @@ impl Builder {
                         self.event(TreeEventKind::ForeignEndTagMismatch { tag: tag.name.clone() });
                     }
                 }
-                let mut i = self.open.len();
-                while i > 0 {
-                    i -= 1;
-                    let id = self.open[i];
-                    let Some(e) = self.doc.element(id) else { break };
-                    if e.ns == Namespace::Html {
-                        // Process using HTML rules.
-                        return self.mode_dispatch_from_foreign(token, tok);
-                    }
-                    if e.name.eq_ignore_ascii_case(&tag.name) {
+                // Walking down from the current node, the first foreign
+                // element of the tag's name (any case) closes, and the first
+                // HTML element hands the token to the HTML rules. Both are
+                // index lookups, whatever the depth of the walk.
+                let html = self.open.topmost_html();
+                match self.open.topmost_foreign(&tag.name) {
+                    Some(i) if html.is_none_or(|h| i > h) => {
                         self.open.truncate(i);
-                        return Ctl::Done;
+                        Ctl::Done
                     }
+                    _ if html.is_some() => self.mode_dispatch_from_foreign(token, tok),
+                    _ => Ctl::Done,
                 }
-                Ctl::Done
             }
             Token::Eof => {
                 // EOF never reaches foreign rules (dispatcher sends it to

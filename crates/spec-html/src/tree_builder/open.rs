@@ -14,6 +14,10 @@
 //! * the topmost stack index of each HTML element name — static names in a
 //!   table indexed by atom id, dynamic names through a map — with a link
 //!   from every entry to the next lower entry of the same name;
+//! * the same for SVG and MathML elements, keyed by the ASCII-lowercase
+//!   spelling of their names (what a foreign end tag matches against), in
+//!   a table of their own, so that the HTML scope questions never see
+//!   them;
 //! * per class, the stack of its entries, kept as links: every entry
 //!   records, per class, the nearest entry of that class at or below it,
 //!   so the top entry holds the topmost one of each class and a pop
@@ -21,7 +25,9 @@
 //! * an on-stack flag per node.
 //!
 //! "`x` is in scope" is then "the topmost `x` sits at or above the topmost
-//! scope boundary". Boundaries the spec defines by a few names (button,
+//! scope boundary", and a foreign end tag closes the topmost foreign
+//! element of its name if that sits above the topmost HTML element.
+//! Boundaries the spec defines by a few names (button,
 //! list-item and table scope add `button`, `ol`/`ul` and
 //! `html`/`table`/`template`; the mode-setting elements of "reset the
 //! insertion mode") come from the name index, so only four classes carry
@@ -131,19 +137,27 @@ fn ns_index(ns: Namespace) -> usize {
     }
 }
 
+/// Per static atom id, the id of the atom's ASCII-lowercase spelling, or
+/// `u16::MAX` when that spelling is not a static atom; computed once.
+fn lowercase_ids() -> &'static [u16] {
+    static TABLE: OnceLock<Box<[u16]>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let id = |name: &str| Atom::from_name(&name.to_ascii_lowercase()).static_id();
+        STATIC_ATOMS.iter().map(|name| id(name).map_or(u16::MAX, |i| i as u16)).collect()
+    })
+}
+
 /// Name keys the name table starts out with: the HTML element names,
 /// which open the static atom table (`xmp` is the last of them). Other
 /// keys grow the table on first push.
 const HTML_KEYS: usize = known_id("xmp") as usize + 1;
 
-/// Name key of entries outside the name index (foreign elements).
-const NO_KEY: u32 = u32::MAX;
-
 /// One stack entry: the node, its classes and its links.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry {
     node: NodeId,
-    /// Name key (static atom id, or a dynamic slot), [`NO_KEY`] if foreign.
+    /// Name key (static atom id, or a dynamic slot): of the name for an
+    /// HTML element, of its ASCII-lowercase spelling for a foreign one.
     key: u32,
     /// 1 + index of the next lower entry with the same key, 0 if none.
     below: u32,
@@ -160,9 +174,12 @@ pub(crate) struct OpenElements {
     /// 0 if none is open (keys past the end: none). Static atom ids come
     /// first, dynamic slots after; it grows to the largest key pushed.
     top: Vec<u32>,
-    /// Name keys of HTML names outside the static table, by first push.
-    /// The names come from the page, so the map keeps the default
-    /// (collision-resistant) hasher.
+    /// Per name key: 1 + index of the topmost SVG or MathML element whose
+    /// lowercased name has that key, 0 if none is open. Grows on push.
+    foreign_top: Vec<u32>,
+    /// Name keys of names outside the static table, by first push (both
+    /// tables number them alike). The names come from the page, so the
+    /// map keeps the default (collision-resistant) hasher.
     dynamic: HashMap<Atom, u32>,
     /// 1 + index of the bottom-most foreign entry, 0 if none.
     outermost_foreign: u32,
@@ -171,22 +188,25 @@ pub(crate) struct OpenElements {
     /// Entries lifted off during a mid-stack edit (a reused buffer).
     lifted: Vec<Entry>,
     classes: &'static ClassTable,
+    lowercase: &'static [u16],
 }
 
 impl OpenElements {
     /// An empty stack, on the thread's spare tables (see
     /// [`crate::recycle`]).
     pub(crate) fn new() -> Self {
-        let StackTables { entries, mut top, on_stack } = recycle::take_stack();
+        let StackTables { entries, mut top, foreign_top, on_stack } = recycle::take_stack();
         top.resize(HTML_KEYS, 0);
         OpenElements {
             entries,
             top,
+            foreign_top,
             dynamic: HashMap::new(),
             outermost_foreign: 0,
             on_stack,
             lifted: Vec::new(),
             classes: class_table(),
+            lowercase: lowercase_ids(),
         }
     }
 
@@ -268,6 +288,34 @@ impl OpenElements {
     pub(crate) fn topmost(&self, name: &Atom) -> Option<usize> {
         let key = self.key_of(name)?;
         self.top.get(key as usize)?.checked_sub(1).map(|i| i as usize)
+    }
+
+    /// Stack index of the topmost HTML element: the topmost boundary of
+    /// select scope (every HTML element but `optgroup` and `option`) or
+    /// one of those two.
+    pub(crate) fn topmost_html(&self) -> Option<usize> {
+        let options = self.topmost(&atom!("optgroup")).max(self.topmost(&atom!("option")));
+        self.top_of(Class::SelectScope).max(options)
+    }
+
+    /// Stack index of the topmost SVG or MathML element whose name matches
+    /// `name` ASCII case-insensitively.
+    pub(crate) fn topmost_foreign(&self, name: &Atom) -> Option<usize> {
+        let key = self.key_of(&self.lowercased(name))?;
+        self.foreign_top.get(key as usize)?.checked_sub(1).map(|i| i as usize)
+    }
+
+    /// `name` spelled in ASCII lowercase.
+    fn lowercased(&self, name: &Atom) -> Atom {
+        let lower = match name.static_id() {
+            Some(id) => self.lowercase[id],
+            None if !name.bytes().any(|b| b.is_ascii_uppercase()) => return name.clone(),
+            None => u16::MAX,
+        };
+        match lower {
+            u16::MAX => Atom::from_name(&name.to_ascii_lowercase()),
+            id => Atom::from_static_id(id),
+        }
     }
 
     /// Whether an HTML element named `name` is on the stack.
@@ -364,13 +412,23 @@ impl OpenElements {
     #[inline(always)]
     pub(crate) fn push(&mut self, doc: &Document, node: NodeId) {
         let e = doc.element(node).expect("only elements go on the stack of open elements");
-        let (class, key) = match (e.name.static_id(), e.ns) {
-            (Some(id), Namespace::Html) => (self.classes[id][0], id as u32),
-            (Some(id), ns) => (self.classes[id][ns_index(ns)], NO_KEY),
-            (None, Namespace::Html) => (classify(e.ns, &e.name), self.dynamic_key(&e.name)),
-            (None, ns) => (classify(ns, &e.name), NO_KEY),
+        let class = match e.name.static_id() {
+            Some(id) => self.classes[id][ns_index(e.ns)],
+            None => classify(e.ns, &e.name),
+        };
+        let key = match e.ns {
+            Namespace::Html => self.key(&e.name),
+            _ => self.key(&self.lowercased(&e.name)),
         };
         self.push_entry(node, key, class);
+    }
+
+    /// The key of `name`, numbering it on first use.
+    fn key(&mut self, name: &Atom) -> u32 {
+        match name.static_id() {
+            Some(id) => id as u32,
+            None => self.dynamic_key(name),
+        }
     }
 
     fn dynamic_key(&mut self, name: &Atom) -> u32 {
@@ -386,14 +444,11 @@ impl OpenElements {
     fn push_entry(&mut self, node: NodeId, key: u32, class: u8) {
         let i = self.entries.len() as u32;
         debug_assert!(!self.contains(node), "a node is on the stack at most once");
-        let below = if key == NO_KEY {
-            0
-        } else {
-            if key as usize >= self.top.len() {
-                self.top.resize(key as usize + 1, 0);
-            }
-            std::mem::replace(&mut self.top[key as usize], i + 1)
-        };
+        let top = self.top_table(class);
+        if key as usize >= top.len() {
+            top.resize(key as usize + 1, 0);
+        }
+        let below = std::mem::replace(&mut top[key as usize], i + 1);
         let mut nearest = self.entries.last().map_or([0; LINKED], |e| e.nearest);
         for (c, link) in nearest.iter_mut().enumerate() {
             if class & (1 << c) != 0 {
@@ -411,13 +466,21 @@ impl OpenElements {
         self.entries.push(Entry { node, key, below, nearest, class });
     }
 
+    /// The topmost-entry table an entry of `class` is indexed in.
+    #[inline(always)]
+    fn top_table(&mut self, class: u8) -> &mut Vec<u32> {
+        if class & Class::Foreign.bit() != 0 {
+            &mut self.foreign_top
+        } else {
+            &mut self.top
+        }
+    }
+
     /// Pop the current node.
     #[inline(always)]
     pub(crate) fn pop(&mut self) -> Option<NodeId> {
         let e = self.entries.pop()?;
-        if e.key != NO_KEY {
-            self.top[e.key as usize] = e.below;
-        }
+        self.top_table(e.class)[e.key as usize] = e.below;
         if self.outermost_foreign as usize > self.entries.len() {
             self.outermost_foreign = 0;
         }
@@ -496,6 +559,7 @@ impl Drop for OpenElements {
         recycle::give_stack(StackTables {
             entries: std::mem::take(&mut self.entries),
             top: std::mem::take(&mut self.top),
+            foreign_top: std::mem::take(&mut self.foreign_top),
             on_stack: std::mem::take(&mut self.on_stack),
         });
     }
@@ -514,21 +578,23 @@ impl OpenElements {
     /// Recompute the whole index from the entries and compare.
     pub(crate) fn assert_consistent(&self, doc: &Document) {
         let mut top = vec![0u32; self.top.len()];
+        let mut foreign_top = vec![0u32; self.foreign_top.len()];
         let mut nearest = [0u32; LINKED];
         let mut outermost_foreign = 0;
         for (i, e) in self.entries.iter().enumerate() {
             let el = doc.element(e.node).expect("stack entries are elements");
             assert_eq!(e.class, classify(el.ns, &el.name), "class bits of entry {i}");
-            if el.ns == Namespace::Html {
-                assert_eq!(Some(e.key), self.key_of(&el.name), "name key of entry {i}");
-                assert_eq!(e.below, top[e.key as usize], "same-name link of entry {i}");
-                top[e.key as usize] = i as u32 + 1;
+            let (name, top) = if el.ns == Namespace::Html {
+                (el.name.clone(), &mut top)
             } else {
-                assert_eq!(e.key, NO_KEY, "foreign entry {i} has a name key");
                 if outermost_foreign == 0 {
                     outermost_foreign = i as u32 + 1;
                 }
-            }
+                (Atom::from_name(&el.name.to_ascii_lowercase()), &mut foreign_top)
+            };
+            assert_eq!(Some(e.key), self.key_of(&name), "name key of entry {i}");
+            assert_eq!(e.below, top[e.key as usize], "same-name link of entry {i}");
+            top[e.key as usize] = i as u32 + 1;
             for (c, link) in nearest.iter_mut().enumerate() {
                 if e.class & (1 << c) != 0 {
                     *link = i as u32 + 1;
@@ -537,6 +603,7 @@ impl OpenElements {
             assert_eq!(e.nearest, nearest, "class links of entry {i}");
         }
         assert_eq!(top, self.top, "topmost index per name");
+        assert_eq!(foreign_top, self.foreign_top, "topmost foreign index per lowercased name");
         assert_eq!(outermost_foreign, self.outermost_foreign, "outermost foreign entry");
         for (word_index, &word) in self.on_stack.iter().enumerate() {
             for bit in 0..64 {

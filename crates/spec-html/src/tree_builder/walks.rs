@@ -180,13 +180,75 @@ fn foreign_root_ns(b: &Builder) -> Namespace {
     b.current().and_then(|id| b.doc.element(id)).map(|e| e.ns).unwrap_or(Namespace::Html)
 }
 
+/// Stack index of the topmost HTML element.
+fn topmost_html(b: &Builder) -> Option<usize> {
+    b.open.iter().rposition(|id| b.doc.element(id).is_some_and(|e| e.ns == Namespace::Html))
+}
+
+/// Stack index of the topmost foreign element whose name matches `name`
+/// in any ASCII case (what a foreign end tag closes).
+fn topmost_foreign(b: &Builder, name: &str) -> Option<usize> {
+    b.open.iter().rposition(|id| {
+        b.doc
+            .element(id)
+            .is_some_and(|e| e.ns != Namespace::Html && e.name.eq_ignore_ascii_case(name))
+    })
+}
+
 /// Names the queries are asked about: everything the tree builder asks
 /// about by name, plus names outside the static table.
 const NAMES: &[&str] = &[
-    "a", "address", "applet", "b", "body", "button", "caption", "dd", "div", "dt", "em", "form",
-    "h1", "h2", "h3", "h4", "h5", "h6", "html", "i", "li", "marquee", "nobr", "object", "ol",
-    "optgroup", "option", "p", "ruby", "select", "span", "table", "tbody", "td", "template",
-    "tfoot", "th", "thead", "tr", "ul", "svg", "math", "desc", "title", "x", "x-widget",
+    "a",
+    "address",
+    "applet",
+    "b",
+    "body",
+    "button",
+    "caption",
+    "dd",
+    "div",
+    "dt",
+    "em",
+    "form",
+    "h1",
+    "h2",
+    "h3",
+    "h4",
+    "h5",
+    "h6",
+    "html",
+    "i",
+    "li",
+    "marquee",
+    "nobr",
+    "object",
+    "ol",
+    "optgroup",
+    "option",
+    "p",
+    "ruby",
+    "select",
+    "span",
+    "table",
+    "tbody",
+    "td",
+    "template",
+    "tfoot",
+    "th",
+    "thead",
+    "tr",
+    "ul",
+    "svg",
+    "math",
+    "desc",
+    "title",
+    "x",
+    "x-widget",
+    "g",
+    "mi",
+    "foreignobject",
+    "clippath",
+    "lineargradient",
 ];
 
 /// Ask every indexed query and compare it with its walk.
@@ -227,7 +289,14 @@ fn assert_index_matches_walks(b: &Builder, input: &str) {
             "{}",
             at("any_other_end_tag")
         );
+        assert_eq!(
+            b.open.topmost_foreign(&atom),
+            topmost_foreign(b, name),
+            "{}",
+            at("topmost_foreign")
+        );
     }
+    assert_eq!(b.open.topmost_html(), topmost_html(b), "topmost HTML element in {input:?}");
     let li = b.list_item_to_close(&[atom!("li")]).map(|a| a.to_string());
     assert_eq!(li, list_item_to_close(b, &["li"]), "li search in {input:?}");
     let dd = b.list_item_to_close(&[atom!("dd"), atom!("dt")]).map(|a| a.to_string());
@@ -288,6 +357,9 @@ const CASES: &[&str] = &[
     "<svg><g><foreignObject><div>x<p>y</div></foreignObject><desc><li>d</desc><p>out",
     "<math><mi><b>x</b></mi><mtext><li>q</mtext><annotation-xml encoding=text/html><div>z",
     "<svg><title><dd>t</title></svg><math><mo><select><option>o</select></mo></math>",
+    "<svg><g><clipPath><g></clippath></G><x-widget><g></x></x-widget><linearGradient></g>",
+    "<select><option><svg><g><foreignObject><optgroup><svg><g></g></optgroup></foreignobject>",
+    "<math><mi><svg><desc><math><mo></mi></desc></mo><ms><mtext></ms></math>",
     "<ruby>a<rb>b<rt>c<rp>d<rtc>e</ruby><h1>a<h2>b</h1>c</h3>",
     "<head><title>t</title></head><meta http-equiv=x><title>late</title><template>t",
     "<x-widget><x-widget><p></x-widget>q</x-widget><span><em></x><span></em>",
@@ -358,6 +430,7 @@ fn indexed_queries_equal_the_walks_on_generated_soup() {
         "foreignobject",
         "desc",
         "g",
+        "clippath",
         "h1",
         "h3",
         "address",

@@ -38,9 +38,10 @@ const ATTEMPTS: usize = 5;
 enum Shape {
     /// `lead` once, then `unit` until the page reaches the size.
     Repeat { lead: &'static str, unit: &'static str },
-    /// `first` repeated over half the page, then `then` over the rest: a
-    /// deep stack, then tokens that each ask the stack a question.
-    DeepThen { first: &'static str, then: &'static str },
+    /// `lead` once, `first` repeated up to half the page, then `then` over
+    /// the rest: a deep stack, then tokens that each ask the stack a
+    /// question.
+    DeepThen { lead: &'static str, first: &'static str, then: &'static str },
     /// Units of `prefix`, the unit's number, then `suffix`, until the page
     /// reaches the size: each unit names something no unit before it did.
     Numbered { prefix: &'static str, suffix: &'static str },
@@ -57,7 +58,7 @@ const fn repeat(name: &'static str, lead: &'static str, unit: &'static str) -> F
 }
 
 const fn deep(name: &'static str, first: &'static str, then: &'static str) -> Family {
-    Family { name, shape: Shape::DeepThen { first, then }, tail: "" }
+    Family { name, shape: Shape::DeepThen { lead: "", first, then }, tail: "" }
 }
 
 const fn numbered(name: &'static str, prefix: &'static str, suffix: &'static str) -> Family {
@@ -84,6 +85,13 @@ const FAMILIES: &[Family] = &[
     repeat("alternating <a href=x><base>", "", "<a href=x><base>"),
     deep("<span>s then </x>", "<span>", "</x>"),
     deep("<span>s then </em>", "<span>", "</em>"),
+    // Each stray end tag in foreign content searches the stack for a
+    // foreign element of its name above the topmost HTML element.
+    Family {
+        name: "<svg> then <g>s then </x>",
+        shape: Shape::DeepThen { lead: "<svg>", first: "<g>", then: "</x>" },
+        tail: "",
+    },
     // Each tag merges one new attribute into the html or body element.
     numbered("<html aN=1> merges", "<html a", "=1>"),
     numbered("<body aN=1> merges", "<body a", "=1>"),
@@ -107,7 +115,8 @@ impl Family {
                     s.push_str(unit);
                 }
             }
-            Shape::DeepThen { first, then } => {
+            Shape::DeepThen { lead, first, then } => {
+                s.push_str(lead);
                 while s.len() < bytes / 2 {
                     s.push_str(first);
                 }
