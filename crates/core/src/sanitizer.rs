@@ -163,7 +163,7 @@ impl Sanitizer {
     fn clean(&self, dom: &mut Document, node: NodeId) {
         let children: Vec<NodeId> = dom.children(node).collect();
         for child in children {
-            let remove = match &dom.node(child).data {
+            let remove = match dom.data(child) {
                 NodeData::Element(e) => {
                     let foreign = e.ns != Namespace::Html;
                     let name = e.name.to_ascii_lowercase();

@@ -69,7 +69,7 @@ fn serialize_node(doc: &Document, root: NodeId, out: &mut String) {
 /// Write what precedes a node's children (all of a leaf), and say whether
 /// its children are serialized and followed by [`close_node`].
 fn open_node(doc: &Document, id: NodeId, out: &mut String) -> bool {
-    match &doc.node(id).data {
+    match doc.data(id) {
         NodeData::Document => true,
         NodeData::Doctype(d) => {
             out.push_str("<!DOCTYPE ");

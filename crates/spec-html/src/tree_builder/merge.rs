@@ -55,9 +55,7 @@ impl Merged {
     fn write(self, doc: &mut Document) {
         if self.list.len() > doc.element_attrs(self.node).len() {
             let range = doc.push_attrs(self.list);
-            if let Some(e) = doc.element_mut(self.node) {
-                e.attrs = range;
-            }
+            doc.set_attrs(self.node, range);
         }
     }
 }

@@ -24,10 +24,10 @@ pub(crate) mod open;
 mod tables;
 
 pub use events::{TreeEvent, TreeEventKind, Trigger};
-pub use formatting::FormatEntry;
+pub(crate) use formatting::FormatEntry;
 
 use crate::atoms::{atom, Atom};
-use crate::dom::{find_attr, AttrRange, Doctype, Document, Namespace, NodeData, NodeId};
+use crate::dom::{find_attr, AttrRange, Doctype, Document, Namespace, NodeId};
 use crate::errors::ParseError;
 use crate::recycle;
 use crate::tags;
@@ -549,7 +549,7 @@ impl Builder {
 
     pub(crate) fn insert_comment(&mut self, text: String) {
         let (parent, before) = self.insertion_place(false);
-        let id = self.doc.create(NodeData::Comment(text));
+        let id = self.doc.create_comment(text);
         match before {
             Some(b) => self.doc.insert_before(b, id),
             None => self.doc.append(parent, id),
@@ -557,7 +557,7 @@ impl Builder {
     }
 
     fn insert_comment_on(&mut self, parent: NodeId, text: String) {
-        let id = self.doc.create(NodeData::Comment(text));
+        let id = self.doc.create_comment(text);
         self.doc.append(parent, id);
     }
 
@@ -695,12 +695,11 @@ impl Builder {
             }
             Token::Doctype(d) => {
                 self.quirks = doctype_quirks(&d);
-                let node = NodeData::Doctype(Box::new(Doctype {
+                let id = self.doc.create_doctype(Doctype {
                     name: d.name.unwrap_or_default(),
                     public_id: d.public_id.unwrap_or_default(),
                     system_id: d.system_id.unwrap_or_default(),
-                }));
-                let id = self.doc.create(node);
+                });
                 let root = self.doc.root();
                 self.doc.append(root, id);
                 self.mode = InsertionMode::BeforeHtml;

@@ -2,6 +2,7 @@
 //! checkers depend on, and the paper's concrete payloads (Figures 1–5).
 
 use super::*;
+use crate::dom::NodeData;
 use crate::parse_document as parse_doc;
 use crate::serializer::serialize;
 
@@ -132,7 +133,7 @@ fn recreated_formatting_elements_hold_their_attribute_range() {
     let id = crate::tokenizer::Attr::new("id", "z");
     let grown: Vec<_> = out.dom.element_attrs(bs[1]).iter().cloned().chain([id]).collect();
     let grown = out.dom.push_attrs(grown);
-    out.dom.element_mut(bs[1]).unwrap().attrs = grown;
+    out.dom.set_attrs(bs[1], grown);
     out.dom.retain_attrs(bs[2], |a| a.name != "class");
     let ranges: Vec<AttrRange> = bs.iter().map(|&b| out.dom.element(b).unwrap().attrs).collect();
     assert!(ranges[0] != ranges[1] && ranges[0] != ranges[2] && ranges[1] != ranges[2]);
@@ -475,7 +476,7 @@ fn style_in_foreign_content_is_not_rawtext() {
         out.dom.all_elements().find(|&id| out.dom.element(id).unwrap().name == "style").unwrap();
     assert_eq!(out.dom.element(style).unwrap().ns, Namespace::MathMl);
     let has_comment =
-        out.dom.descendants(style).any(|id| matches!(&out.dom.node(id).data, NodeData::Comment(_)));
+        out.dom.descendants(style).any(|id| matches!(out.dom.data(id), NodeData::Comment(_)));
     assert!(has_comment, "comment inside foreign <style> must be a real comment node");
 }
 

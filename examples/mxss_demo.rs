@@ -69,7 +69,7 @@ fn main() {
     let comments = second
         .dom
         .descendants(second.dom.root())
-        .filter(|&id| matches!(second.dom.node(id).data, NodeData::Comment(_)))
+        .filter(|&id| matches!(second.dom.data(id), NodeData::Comment(_)))
         .count();
     println!(
         "\n({comments} comment node(s) after the second parse — the `<!--` came alive in MathML)"

@@ -117,7 +117,7 @@ fn render_tree(dom: &spec_html::Dom) -> String {
 
 fn render_node(dom: &spec_html::Dom, id: NodeId, depth: usize, out: &mut String) {
     let indent = "  ".repeat(depth);
-    match &dom.node(id).data {
+    match dom.data(id) {
         NodeData::Doctype(d) => {
             out.push_str(&format!("| {indent}<!DOCTYPE {}>\n", d.name));
         }

@@ -321,7 +321,7 @@ mod dom_arena_ops {
                     }
                     Op::AppendText { parent } => {
                         let p = ids[parent % ids.len()];
-                        if !matches!(doc.node(p).data, NodeData::Text(_)) {
+                        if !matches!(doc.data(p), NodeData::Text(_)) {
                             doc.append_text(p, "t".into());
                         }
                     }
