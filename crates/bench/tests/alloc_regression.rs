@@ -74,8 +74,9 @@ fn attribute_profiles_parse_allocs_within_ceiling() {
 }
 
 /// The Θ(k²) formatting-reconstruction page (the end-to-end benchmark's
-/// 2n member): re-created elements hold their start tag's attribute
-/// range, so the count tracks tokens, not the ~k²/2 elements built.
+/// 2n member): a re-created copy is one node sharing its start tag's
+/// payload and attribute range, so the count tracks tokens, not the ~k²/2
+/// elements built.
 #[test]
 fn formatting_page_parse_allocs_within_ceiling() {
     let page = formatting_page(FORMATTING_BYTES);
@@ -125,7 +126,8 @@ fn typical_pages_allocs_within_ceiling() {
 // runs and attribute lists moved into the DOM uncopied, "doctype" ones
 // from before the DOCTYPE name was lexed in the tokenizer's scratch,
 // "named" ones from before tree events named tags by atom and the
-// formatting list and end-tag buffer were recycled.
+// formatting list and end-tag buffer were recycled. Every count read the
+// same again with 28-byte nodes and out-of-line payloads.
 const DENSE_PARSE_CEILING: u64 = 1_550; // measured 1,348 (2,150 named, 4,175 shared, 4,457 unrecycled, 7,657 copied, 53,274 pre-interning)
 const DENSE_BATTERY_CEILING: u64 = 6_150; // measured 5,349 (6,151 named, 8,186 shared, 8,468 unrecycled, 16,869 copied, 75,287 pre-interning)
 const ATTR_HEAVY_CEILING: u64 = 2_280; // measured 1,979 (4,193 shared, 4,481 unrecycled, 8,918 copied, 103,196 pre-interning)

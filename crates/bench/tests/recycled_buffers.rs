@@ -1,9 +1,9 @@
 //! Parse buffers recycled across pages change no output.
 //!
 //! Each thread keeps the buffers of the pages it parsed (the DOM's node
-//! vector and attribute arena, text strings, tokenizer scratch, stack
-//! tables, the error, event and kept-tag lists) and hands them to its next
-//! parse. These tests parse pages back to back on one thread,
+//! vector, element payloads, text vector and attribute arena, text
+//! strings, tokenizer scratch, stack tables, the error, event and kept-tag
+//! lists) and hands them to its next parse. These tests parse pages back to back on one thread,
 //! after pathological pages that grow every buffer, and compare each
 //! output with what a fresh thread, whose store is empty, produces.
 
@@ -13,8 +13,10 @@ use spec_html::serializer::serialize;
 
 /// Everything a page's parse hands the checkers, rendered to one string:
 /// serialized DOM, parse errors, tree events, the element stack at EOF,
-/// the kept start tags with their attributes, and the whole DOM arena
-/// (every node and every attribute list, referenced or not).
+/// the kept start tags with their attributes, and the whole DOM arena:
+/// every node, every element payload, every text and comment string and
+/// every attribute list, referenced or not (the `Debug` form of the
+/// document shows all of its vectors).
 fn output(page: &str) -> String {
     let cx = CheckContext::new(page);
     let p = &cx.parse;
@@ -78,6 +80,8 @@ fn nothing_of_one_page_shows_in_the_next() {
             "<secret>",
             "<title>secret</title>",
             "<p>secret<!--secret--><p>x &amp; secret",
+            "<!--secret--><p>x<!--secret-->",
+            "<!DOCTYPE secret><p>x",
             "<textarea>secret",
         ] {
             let _ = output(first);
@@ -104,6 +108,7 @@ fn no_attribute_of_one_page_shows_in_the_next() {
             "<p secret=1>x",
             "<p title=secret>x",
             "<b class=secret>1<p>2<p>3",
+            "<p><b title=secret>1<p>2<button>3</b>4",
             "<html secret=a><body title=secret><body secret=b><html lang=secret>",
             "<svg viewbox=secret><rect secret=x></svg>",
             "<p title=\"sec&amp;ret\" secret>",
